@@ -1,16 +1,9 @@
 #include "amoeba/net/frame_proxy.hpp"
 
 #include "amoeba/common/error.hpp"
-#include "amoeba/common/serial.hpp"
 #include "socket_util.hpp"
 
 namespace amoeba::net {
-
-namespace {
-// Matches SocketNetwork's framing cap; a bigger length means the stream
-// desynchronized and the session is torn down.
-constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
-}  // namespace
 
 FrameProxy::FrameProxy(Config config)
     : config_(std::move(config)), rng_(config_.seed) {
@@ -66,10 +59,6 @@ void FrameProxy::accept_loop() {
     session->client_fd = client_fd;
     session->target_fd = target_fd;
     stats_.connections.fetch_add(1, std::memory_order_relaxed);
-    session->to_target = std::thread(
-        [this, session] { pump(session, session->client_fd, session->target_fd); });
-    session->to_client = std::thread(
-        [this, session] { pump(session, session->target_fd, session->client_fd); });
     const std::lock_guard lock(sessions_mutex_);
     std::erase_if(sessions_, [](const std::shared_ptr<Session>& s) {
       // Reap finished sessions (both pumps exited) so long runs with many
@@ -81,7 +70,15 @@ void FrameProxy::accept_loop() {
       ::close(s->target_fd);
       return true;
     });
-    sessions_.push_back(std::move(session));
+    // Registered before its pumps start, so sever() reaches every session
+    // that can forward a frame.
+    sessions_.push_back(session);
+    session->to_target = std::thread([this, session] {
+      pump(session, session->client_fd, session->target_fd);
+    });
+    session->to_client = std::thread([this, session] {
+      pump(session, session->target_fd, session->client_fd);
+    });
   }
 }
 
@@ -94,22 +91,12 @@ void FrameProxy::tear_down(Session& session) {
 
 void FrameProxy::pump(const std::shared_ptr<Session>& session, int from,
                       int to) {
-  Buffer frame;
-  for (;;) {
-    std::uint8_t len_bytes[4];
-    if (!detail::read_exact(from, len_bytes, sizeof(len_bytes))) break;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len == 0 || len > kMaxFrameBytes) break;
-    frame.resize(len);
-    if (!detail::read_exact(from, frame.data(), len)) break;
-
+  // Frames are forwarded whole, in the framing SocketNetwork uses; a bad
+  // length (the stream desynchronized) or a failed write ends the session.
+  detail::read_frames(from, [&](std::span<const std::uint8_t> frame) {
     if (partitioned_.load(std::memory_order_relaxed)) {
       stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-      continue;  // connection stays up; the frame just never arrives
+      return true;  // connection stays up; the frame just never arrives
     }
     const double drop = drop_probability_.load(std::memory_order_relaxed);
     if (drop > 0.0) {
@@ -120,7 +107,7 @@ void FrameProxy::pump(const std::shared_ptr<Session>& session, int from,
       }
       if (roll < drop) {
         stats_.dropped.fetch_add(1, std::memory_order_relaxed);
-        continue;
+        return true;
       }
     }
     const std::int64_t delay = delay_ms_.load(std::memory_order_relaxed);
@@ -128,12 +115,12 @@ void FrameProxy::pump(const std::shared_ptr<Session>& session, int from,
       stats_.delayed.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
-    if (!detail::write_exact(to, len_bytes, sizeof(len_bytes)) ||
-        !detail::write_exact(to, frame.data(), frame.size())) {
-      break;
+    if (!detail::write_frame(to, frame)) {
+      return false;
     }
     stats_.forwarded.fetch_add(1, std::memory_order_relaxed);
-  }
+    return true;
+  });
   tear_down(*session);
 }
 

@@ -37,6 +37,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -140,7 +141,8 @@ class SocketNetwork final : public Network {
   void learn_route(MachineId machine, const std::shared_ptr<Link>& link);
 
   bool send_remote(MachineId src, const Message& msg, MachineId dst);
-  void handle_frame(const std::shared_ptr<Link>& link, const Buffer& body);
+  void handle_frame(const std::shared_ptr<Link>& link,
+                    std::span<const std::uint8_t> body);
   std::optional<MachineId> remote_locate(Port put_port);
 
   SocketConfig config_;

@@ -8,9 +8,21 @@ void Mailbox::push(Delivery delivery) {
     if (closed_) {
       return;  // late frame for a dead receiver: dropped, like real links
     }
-    queue_.push_back(std::move(delivery));
+    if (!sink_) {
+      queue_.push_back(std::move(delivery));
+    } else {
+      ++sinks_running_;
+    }
   }
-  cv_.notify_one();
+  if (!sink_) {
+    cv_.notify_one();
+    return;
+  }
+  sink_(std::move(delivery));
+  const std::lock_guard lock(mutex_);
+  if (--sinks_running_ == 0 && closed_) {
+    cv_.notify_all();  // the last running sink lets close() return
+  }
 }
 
 std::optional<Delivery> Mailbox::pop(
@@ -37,25 +49,6 @@ std::optional<Delivery> Mailbox::pop(
   return d;
 }
 
-std::deque<Delivery> Mailbox::drain(
-    std::stop_token stop, std::optional<std::chrono::milliseconds> timeout) {
-  std::unique_lock lock(mutex_);
-  const auto ready = [this] { return closed_ || !queue_.empty(); };
-  if (timeout.has_value()) {
-    const auto deadline = std::chrono::steady_clock::now() + *timeout;
-    if (!cv_.wait_until(lock, stop, deadline, ready)) {
-      return {};
-    }
-  } else {
-    if (!cv_.wait(lock, stop, ready)) {
-      return {};
-    }
-  }
-  std::deque<Delivery> out;
-  out.swap(queue_);
-  return out;
-}
-
 std::optional<Delivery> Mailbox::try_pop() {
   const std::lock_guard lock(mutex_);
   if (queue_.empty()) {
@@ -67,11 +60,10 @@ std::optional<Delivery> Mailbox::try_pop() {
 }
 
 void Mailbox::close() {
-  {
-    const std::lock_guard lock(mutex_);
-    closed_ = true;
-  }
+  std::unique_lock lock(mutex_);
+  closed_ = true;
   cv_.notify_all();
+  cv_.wait(lock, [this] { return sinks_running_ == 0; });
 }
 
 bool Mailbox::closed() const {

@@ -9,18 +9,13 @@ namespace amoeba::net {
 
 namespace {
 
-// One frame on the stream: u32 little-endian body length, then the body.
-// Body layout: u8 kind | u32 src machine | u32 dst machine | payload.
-// docs/PROTOCOL.md §10 is the normative description.
+// Frames are length-prefixed on the stream (detail::write_frame /
+// read_frames).  Body layout: u8 kind | u32 src machine | u32 dst machine |
+// payload.  docs/PROTOCOL.md §10 is the normative description.
 constexpr std::uint8_t kFrameData = 1;
 constexpr std::uint8_t kFrameLocateRequest = 2;
 constexpr std::uint8_t kFrameLocateReply = 3;
 constexpr std::uint8_t kFrameHello = 4;
-
-// Upper bound on one frame body; anything larger is treated as a protocol
-// violation and tears the link down (a desynchronized or hostile stream
-// must not drive multi-gigabyte allocations).
-constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 
 void put_frame_kind(Writer& w, std::uint8_t kind, MachineId src,
                     MachineId dst) {
@@ -253,26 +248,18 @@ void SocketNetwork::tear_down(Link& link) {
 }
 
 void SocketNetwork::reader_loop(std::shared_ptr<Link> link) {
-  Buffer body;
-  for (;;) {
-    std::uint8_t len_bytes[4];
-    if (!detail::read_exact(link->fd, len_bytes, sizeof(len_bytes))) break;
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(len_bytes[0]) |
-        (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-        (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-        (static_cast<std::uint32_t>(len_bytes[3]) << 24);
-    if (len == 0 || len > kMaxFrameBytes) break;
-    body.resize(len);
-    if (!detail::read_exact(link->fd, body.data(), len)) break;
+  // Every frame of a recv is handled before the next one; a bad length
+  // ends the loop and tears the link down.
+  detail::read_frames(link->fd, [&](std::span<const std::uint8_t> body) {
     sstats_.frames_received.fetch_add(1, std::memory_order_relaxed);
     handle_frame(link, body);
-  }
+    return true;
+  });
   tear_down(*link);
 }
 
 void SocketNetwork::handle_frame(const std::shared_ptr<Link>& link,
-                                 const Buffer& body) {
+                                 std::span<const std::uint8_t> body) {
   Reader r(body);
   const std::uint8_t kind = r.u8();
   const MachineId src(r.u32());
@@ -336,16 +323,9 @@ void SocketNetwork::handle_frame(const std::shared_ptr<Link>& link,
 
 bool SocketNetwork::send_frame(Link& link, const Buffer& frame) {
   if (!link.up.load(std::memory_order_acquire)) return false;
-  std::uint8_t len_bytes[4];
-  const auto len = static_cast<std::uint32_t>(frame.size());
-  len_bytes[0] = static_cast<std::uint8_t>(len);
-  len_bytes[1] = static_cast<std::uint8_t>(len >> 8);
-  len_bytes[2] = static_cast<std::uint8_t>(len >> 16);
-  len_bytes[3] = static_cast<std::uint8_t>(len >> 24);
   const std::lock_guard lock(link.write_mutex);
   if (!link.up.load(std::memory_order_acquire)) return false;
-  if (!detail::write_exact(link.fd, len_bytes, sizeof(len_bytes)) ||
-      !detail::write_exact(link.fd, frame.data(), frame.size())) {
+  if (!detail::write_frame(link.fd, frame)) {
     sstats_.send_failures.fetch_add(1, std::memory_order_relaxed);
     tear_down(link);
     return false;

@@ -11,8 +11,16 @@
 // order: trans_async() returns a Future immediately, so one client thread
 // can pipeline many outstanding transactions.  Internally a completion
 // registry keyed by the one-shot reply put-port routes every arriving
-// reply (they all land in one shared demux mailbox, drained by one pump
-// thread) to its transaction; trans() is trans_async().get().
+// reply to its transaction; trans() is trans_async().get().
+//
+// A reply settles on the thread that delivers it: the SocketNetwork reader
+// thread of the link it arrived on, or, on an in-process network, the
+// server worker that sent it.  All reply ports share one sink mailbox
+// whose push() matches the reply to its Future, runs the incoming filter
+// and completes the Future right there, so a blocking client wakes
+// straight from the delivering thread with no pump in between.  The pump
+// thread only keeps time: it sleeps on a condition variable until the
+// earliest retransmit or deadline and handles those.
 //
 // The transport also implements the kernel's (port -> machine) cache with
 // LOCATE broadcast on miss and invalidation when a cached machine's F-box
@@ -36,7 +44,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -109,8 +116,9 @@ class Transport {
   };
 
   Transport(net::Machine& machine, std::uint64_t seed);
-  /// Joins the completion pump and fails any still-pending future with
-  /// ErrorCode::timeout so no waiter is left blocked.
+  /// Waits for any settle running on a delivering thread, joins the timer
+  /// pump, and fails any still-pending future with ErrorCode::timeout so
+  /// no waiter is left blocked.  No reply settles after it returns.
   ~Transport();
 
   Transport(const Transport&) = delete;
@@ -184,8 +192,9 @@ class Transport {
   void set_signature(Port signature_get_port);
 
   /// Installs a message filter (capability sealing in F-box-less mode).
-  /// Filters run on issuing threads (outgoing) and on the completion pump
-  /// (incoming), so implementations must be internally synchronized.
+  /// Filters run on issuing threads and the pump (outgoing) and on the
+  /// thread delivering each reply (incoming), with no transport lock held,
+  /// so implementations must be internally synchronized.
   void set_filter(std::shared_ptr<MessageFilter> filter);
 
   [[nodiscard]] net::Machine& machine() { return machine_; }
@@ -230,8 +239,12 @@ class Transport {
                     const std::shared_ptr<MessageFilter>& filter,
                     std::optional<CacheEntry> fast_dst);
 
+  /// The timer loop: sleeps until pump_wakes_at_ (or until it moves
+  /// earlier), then runs expire_and_retransmit.
   void pump(std::stop_token stop);
-  void settle_all(std::deque<net::Delivery>&& batch);
+  /// The reply mailbox's sink: matches one reply to its transaction and
+  /// completes the Future, on the delivering thread.
+  void settle(net::Delivery delivery);
   void expire_and_retransmit();
   static void complete(Pending& pending, Result<net::Delivery> outcome);
 
@@ -268,14 +281,15 @@ class Transport {
   Stats stats_;  // srtt/rttvar live in here, updated under mutex_
 
   // Completion registry: every one-shot reply port is registered into this
-  // shared mailbox; the pump thread demultiplexes arrivals back to their
-  // futures and fails overdue entries.
+  // shared sink mailbox, which settles each arrival into its future on the
+  // delivering thread; the pump fails overdue entries.
   std::shared_ptr<net::Mailbox> replies_;
   mutable std::mutex pending_mutex_;
   std::unordered_map<Port, Pending> pending_;
   // Earliest deadline OR retransmit time across pending_; under
   // pending_mutex_.  Only ever errs early (one spurious wake), never late.
   std::chrono::steady_clock::time_point pump_wakes_at_;
+  std::condition_variable_any pump_cv_;  // pump_wakes_at_ moved earlier
   std::jthread pump_;  // last member: must die before the registries
 };
 

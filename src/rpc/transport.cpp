@@ -57,7 +57,8 @@ bool Future::wait_for(std::chrono::milliseconds timeout) const {
 Transport::Transport(net::Machine& machine, std::uint64_t seed)
     : machine_(machine),
       rng_(seed ^ machine.id().value()),
-      replies_(std::make_shared<net::Mailbox>()),
+      replies_(std::make_shared<net::Mailbox>(
+          [this](net::Delivery delivery) { settle(std::move(delivery)); })),
       pump_wakes_at_(Clock::time_point::max()),
       pump_([this](std::stop_token st) { pump(st); }) {
   // The at-most-once client identity: nonzero (0 on the wire means "no
@@ -72,8 +73,10 @@ Transport::Transport(net::Machine& machine, std::uint64_t seed)
 }
 
 Transport::~Transport() {
-  pump_.request_stop();
-  replies_->close();  // wakes the pump even mid-pop
+  // Closing the reply mailbox waits out every settle already running on a
+  // delivering thread and stops new ones, so none outlives the transport.
+  replies_->close();
+  pump_.request_stop();  // the stop callback wakes the timer wait
   pump_.join();
   // Fail whatever is still in flight so no Future::get blocks forever.
   std::vector<Pending> leftovers;
@@ -233,9 +236,10 @@ Future Transport::trans_async(net::Message request,
     }
   }
 
-  // One-shot reply registration, demultiplexed through the shared
-  // mailbox.  Registered in the completion registry BEFORE the frame goes
-  // out, so a reply cannot beat its own bookkeeping.
+  // One-shot reply registration into the shared reply mailbox, whose sink
+  // settles on the delivering thread.  Registered in the completion
+  // registry BEFORE the frame goes out, so a reply cannot beat its own
+  // bookkeeping.
   const auto now = Clock::now();
   const auto deadline = now + timeout;
   const auto next_send =
@@ -252,9 +256,6 @@ Future Transport::trans_async(net::Message request,
     }
     net::Receiver receiver = machine_.listen(reply_get_port, replies_);
     registry_key = receiver.put_port();
-    if (registry_key.is_null()) {
-      continue;  // F(G') == 0 would masquerade as a wake marker: redraw
-    }
     request.header.reply = reply_get_port;  // final once registered
     Pending pending{state,     std::move(receiver), deadline, {},
                     next_send, backoff,             now,      false};
@@ -267,7 +268,7 @@ Future Transport::trans_async(net::Message request,
     }
     pending_.emplace(registry_key, std::move(pending));
     // Only an event earlier than the pump's next scheduled wake needs a
-    // nudge; later ones are picked up when it recomputes anyway.
+    // notify; later ones are picked up when it recomputes anyway.
     const auto wake_at = std::min(deadline, next_send);
     wake_pump = wake_at < pump_wakes_at_;
     if (wake_pump) {
@@ -282,9 +283,7 @@ Future Transport::trans_async(net::Message request,
     return future;
   }
   if (wake_pump) {
-    // Wake marker: a null-dest delivery the pump discards after
-    // recomputing its deadline.
-    replies_->push(net::Delivery{MachineId(), net::Message{}});
+    pump_cv_.notify_one();
   }
 
   const bool sent = send_request(request, filter, std::move(fast_dst));
@@ -341,60 +340,44 @@ void Transport::complete(Pending& pending, Result<net::Delivery> outcome) {
   pending.state->cv.notify_all();
 }
 
-void Transport::settle_all(std::deque<net::Delivery>&& batch) {
-  // One registry lock reaps every matching transaction of the batch;
-  // futures complete (and the one-shot GET registrations die) outside it.
-  std::vector<std::pair<Pending, net::Delivery>> matched;
-  matched.reserve(batch.size());
+void Transport::settle(net::Delivery delivery) {
+  std::optional<Pending> pending;
   {
     const std::lock_guard lock(pending_mutex_);
-    for (auto& delivery : batch) {
-      if (delivery.message.header.dest.is_null()) {
-        continue;  // wake marker from trans_async
-      }
-      auto it = pending_.find(delivery.message.header.dest);
-      if (it == pending_.end()) {
-        continue;  // duplicate frame or post-timeout straggler: dropped
-      }
-      matched.emplace_back(std::move(it->second), std::move(delivery));
-      pending_.erase(it);
+    auto it = pending_.find(delivery.message.header.dest);
+    if (it == pending_.end()) {
+      return;  // duplicate frame or post-timeout straggler: dropped
     }
-  }
-  if (matched.empty()) {
-    return;
+    pending.emplace(std::move(it->second));
+    pending_.erase(it);
   }
   std::shared_ptr<MessageFilter> filter;
   {
-    const auto now = Clock::now();
     const std::lock_guard lock(mutex_);
     filter = filter_;
-    for (const auto& [pending, delivery] : matched) {
-      // Karn's rule: only transactions answered without any retransmit
-      // contribute RTT samples (a retransmitted one's reply is ambiguous).
-      if (!pending.retransmitted &&
-          pending.issued_at != Clock::time_point{}) {
-        record_rtt_locked(std::chrono::duration_cast<std::chrono::microseconds>(
-            now - pending.issued_at));
-      }
+    // Karn's rule: only transactions answered without any retransmit
+    // contribute RTT samples (a retransmitted one's reply is ambiguous).
+    if (!pending->retransmitted) {
+      record_rtt_locked(std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::now() - pending->issued_at));
     }
   }
-  for (auto& [pending, delivery] : matched) {
-    if (filter != nullptr &&
-        !filter->incoming(delivery.message, delivery.src)) {
-      complete(pending, ErrorCode::unsealing_failed);
-    } else {
-      complete(pending, std::move(delivery));
-    }
+  // The filter runs under no lock: the delivery path never waits on it.
+  if (filter != nullptr &&
+      !filter->incoming(delivery.message, delivery.src)) {
+    complete(*pending, ErrorCode::unsealing_failed);
+  } else {
+    complete(*pending, std::move(delivery));
   }
-  // ~matched here withdraws the one-shot GET registrations.
+  // ~pending here withdraws the one-shot GET registration.
 }
 
 void Transport::expire_and_retransmit() {
-  // The only full registry scan in the pump; it runs when a deadline or
-  // retransmit timer actually fires (or a wake marker moved the schedule),
-  // never per reply.  It also recomputes the next wake time, repairing the
-  // staleness settle() leaves behind (pump_wakes_at_ only ever errs early,
-  // so the worst case is one spurious wake, not a missed timeout).
+  // The only full registry scan; it runs when a deadline or retransmit
+  // timer actually fires, never per reply.  It also recomputes the next
+  // wake time, repairing the staleness settle() leaves behind
+  // (pump_wakes_at_ only ever errs early, so the worst case is one
+  // spurious wake, not a missed timeout).
   const auto now = Clock::now();
   const auto cap = retransmit_cap();
   std::vector<Pending> overdue;
@@ -450,34 +433,21 @@ void Transport::expire_and_retransmit() {
 }
 
 void Transport::pump(std::stop_token stop) {
+  std::unique_lock lock(pending_mutex_);
   while (!stop.stop_requested()) {
-    std::optional<std::chrono::milliseconds> wait;
-    {
-      const std::lock_guard lock(pending_mutex_);
-      if (pump_wakes_at_ != Clock::time_point::max()) {
-        wait = std::max(std::chrono::milliseconds(1),
-                        std::chrono::ceil<std::chrono::milliseconds>(
-                            pump_wakes_at_ - Clock::now()));
-      }
-    }
-    auto batch = replies_->drain(stop, wait);
-    if (stop.stop_requested() || replies_->closed()) {
-      return;
-    }
-    if (batch.empty()) {
+    const auto wakes_at = pump_wakes_at_;
+    if (wakes_at <= Clock::now()) {
+      lock.unlock();
       expire_and_retransmit();  // deadline / backoff tick
+      lock.lock();
       continue;
     }
-    settle_all(std::move(batch));
-    // Continuous reply traffic must not starve deadlines: a lost frame's
-    // transaction still has to time out while its neighbours settle.
-    bool deadline_passed;
-    {
-      const std::lock_guard lock(pending_mutex_);
-      deadline_passed = pump_wakes_at_ <= Clock::now();
-    }
-    if (deadline_passed) {
-      expire_and_retransmit();
+    // Sleep until the timer or until trans_async moves it earlier.
+    const auto moved = [&] { return pump_wakes_at_ != wakes_at; };
+    if (wakes_at == Clock::time_point::max()) {
+      pump_cv_.wait(lock, stop, moved);
+    } else {
+      pump_cv_.wait_until(lock, stop, wakes_at, moved);
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "amoeba/servers/bank_server.hpp"
 
+#include <algorithm>
 #include <optional>
 
 namespace amoeba::servers {
@@ -19,6 +20,23 @@ namespace {
 
 }  // namespace
 
+std::int64_t BankServer::Account::balance(std::uint32_t currency) const {
+  const auto it = std::lower_bound(
+      balances.begin(), balances.end(), currency,
+      [](const auto& entry, std::uint32_t c) { return entry.first < c; });
+  return it != balances.end() && it->first == currency ? it->second : 0;
+}
+
+std::int64_t& BankServer::Account::slot(std::uint32_t currency) {
+  auto it = std::lower_bound(
+      balances.begin(), balances.end(), currency,
+      [](const auto& entry, std::uint32_t c) { return entry.first < c; });
+  if (it == balances.end() || it->first != currency) {
+    it = balances.insert(it, {currency, 0});
+  }
+  return it->second;
+}
+
 core::Durability<BankServer::Account> BankServer::durability(
     std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
@@ -28,6 +46,7 @@ core::Durability<BankServer::Account> BankServer::durability(
   core::Durability<Account> d;
   d.backend = std::move(backend);
   d.committer = std::move(committer);
+  // A count, then (currency, balance) pairs in currency order.
   d.encode = [](Writer& w, const Account& account) {
     w.u32(static_cast<std::uint32_t>(account.balances.size()));
     for (const auto& [currency, balance] : account.balances) {
@@ -39,8 +58,10 @@ core::Durability<BankServer::Account> BankServer::durability(
   d.decode = [](Reader& r, Account& account) {
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+      // slot() also sorts pairs written in any order (older volumes
+      // encoded them in hash-map order).
       const std::uint32_t currency = r.u32();
-      account.balances[currency] = r.i64();
+      account.slot(currency) = r.i64();
     }
     account.is_master = r.u8() != 0;
     return r.ok();
@@ -109,9 +130,7 @@ void BankServer::set_conversion_rate(std::uint32_t from, std::uint32_t to,
 
 Result<bank_ops::BalanceReply> BankServer::do_balance(
     const bank_ops::BalanceRequest& req, Store::Opened& account) {
-  const auto& balances = account.value->balances;
-  auto it = balances.find(req.currency);
-  return bank_ops::BalanceReply{it == balances.end() ? 0 : it->second};
+  return bank_ops::BalanceReply{account.value->balance(req.currency)};
 }
 
 Result<void> BankServer::do_transfer(const core::Capability& from_cap,
@@ -128,16 +147,16 @@ Result<void> BankServer::do_transfer(const core::Capability& from_cap,
   if (req.amount <= 0) {
     return ErrorCode::invalid_argument;
   }
-  std::int64_t& from_balance = from.value->balances[req.currency];
-  if (from_balance < req.amount) {
+  if (from.value->balance(req.currency) < req.amount) {
     return ErrorCode::insufficient_funds;
   }
   if (from.object == to.object) {
     return {};  // self-transfer: no-op
   }
-  // Distinct accounts: the maps are distinct, so taking the second
+  // Distinct accounts: the vectors are distinct, so taking the second
   // reference cannot invalidate the first.
-  std::int64_t& to_balance = to.value->balances[req.currency];
+  std::int64_t& from_balance = from.value->slot(req.currency);
+  std::int64_t& to_balance = to.value->slot(req.currency);
   std::int64_t new_to = 0;
   if (!add_checked(to_balance, req.amount, new_to)) {
     return ErrorCode::invalid_argument;
@@ -165,8 +184,8 @@ Result<bank_ops::ConvertReply> BankServer::do_convert(
     }
     rate = it->second;
   }
-  auto& balances = account.value->balances;
-  if (balances[req.from_currency] < req.amount) {
+  Account& acct = *account.value;
+  if (acct.balance(req.from_currency) < req.amount) {
     return ErrorCode::insufficient_funds;
   }
   const auto [num, den] = rate;
@@ -176,11 +195,12 @@ Result<bank_ops::ConvertReply> BankServer::do_convert(
   }
   const std::int64_t converted = scaled / den;
   std::int64_t new_balance = 0;
-  if (!add_checked(balances[req.to_currency], converted, new_balance)) {
+  if (!add_checked(acct.balance(req.to_currency), converted, new_balance)) {
     return ErrorCode::invalid_argument;
   }
-  balances[req.from_currency] -= req.amount;
-  balances[req.to_currency] = new_balance;
+  // One slot() per statement: an insertion moves the other slots.
+  acct.slot(req.from_currency) -= req.amount;
+  acct.slot(req.to_currency) = new_balance;
   account.mark_dirty();
   return bank_ops::ConvertReply{converted};
 }
@@ -201,11 +221,11 @@ Result<void> BankServer::do_mint(const core::Capability& master_cap,
     return ErrorCode::invalid_argument;
   }
   std::int64_t new_balance = 0;
-  if (!add_checked(to.value->balances[req.currency], req.amount,
+  if (!add_checked(to.value->balance(req.currency), req.amount,
                    new_balance)) {
     return ErrorCode::invalid_argument;
   }
-  to.value->balances[req.currency] = new_balance;
+  to.value->slot(req.currency) = new_balance;
   to.mark_dirty();
   return {};
 }

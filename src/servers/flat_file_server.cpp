@@ -220,7 +220,7 @@ Result<void> FlatFileServer::do_write(const file_ops::WriteRequest& req,
     while (inode.blocks.size() < needed_blocks) {
       auto block = blocks_.allocate();
       if (!block.ok()) {
-        return ErrorCode::no_space;
+        return block.error();  // no_space, or the call's own failure
       }
       inode.blocks.push_back(block.value());
     }

@@ -17,7 +17,7 @@
 #include <memory>
 #include <shared_mutex>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "amoeba/core/object_store.hpp"
@@ -134,8 +134,17 @@ class BankServer final : public rpc::Service {
 
  private:
   struct Account {
-    std::unordered_map<std::uint32_t, std::int64_t> balances;
+    // (currency, balance) pairs sorted by currency.  An account holds a
+    // handful of currencies, so a flat vector is smaller and faster than a
+    // hash map, and it encodes in one deterministic order.
+    std::vector<std::pair<std::uint32_t, std::int64_t>> balances;
     bool is_master = false;
+
+    /// The balance in `currency`; 0 when the account never held it.
+    [[nodiscard]] std::int64_t balance(std::uint32_t currency) const;
+    /// The balance slot for `currency`, inserted at 0 when absent.  The
+    /// reference dies with the next slot() call on this account.
+    [[nodiscard]] std::int64_t& slot(std::uint32_t currency);
   };
   using Store = core::ObjectStore<Account>;
 

@@ -98,6 +98,10 @@ class FlatFileServer final : public rpc::Service {
   /// Enables storage charging.  Must be called before start().
   void set_pricing(Pricing pricing);
 
+  /// The transport this server's block (and bank) calls go through, e.g.
+  /// to tune their timeout.
+  [[nodiscard]] rpc::Transport& transport() { return transport_; }
+
  private:
   struct Inode {
     std::uint64_t size = 0;

@@ -69,14 +69,15 @@ using namespace std::chrono_literals;
 
 /// Polls until the service stops executing new requests (the replayed
 /// frame stream is fire-and-forget; suppressed duplicates answer nothing).
+/// Quiet means no new request for 50 ms: one durable transfer can take
+/// well over 5 ms under a sanitizer on a loaded host.
 void quiesce(const rpc::Service& service) {
   std::uint64_t last = service.requests_served();
-  for (int i = 0; i < 200; ++i) {
+  int quiet_polls = 0;
+  for (int i = 0; i < 400 && quiet_polls < 10; ++i) {
     std::this_thread::sleep_for(5ms);
     const std::uint64_t now = service.requests_served();
-    if (now == last && i > 3) {
-      return;
-    }
+    quiet_polls = now == last ? quiet_polls + 1 : 0;
     last = now;
   }
 }

@@ -260,6 +260,17 @@ class ReplicationSuite : public ::testing::Test {
     replicated_.reset();
   }
 
+  /// Stops the bank so nothing more reaches its volume.  A reply's
+  /// best-effort body image is enqueued without a durability wait, so its
+  /// flush cycle can start after the client already has the reply (the
+  /// committer lingers first); destroying the committer flushes and ships
+  /// every such cycle.  Call before comparing volumes.
+  void quiesce_primary() {
+    client_.reset();
+    transport_.reset();
+    bank_.reset();
+  }
+
   /// Polls until every queued shipment is acked (async-mode catch-up).
   [[nodiscard]] bool wait_synced() {
     for (int i = 0; i < 2000; ++i) {
@@ -334,7 +345,8 @@ TEST_F(ReplicationSuite, AckOneShipsEveryFlushCycleToTheBackup) {
   workload(25);
   // ack_one: every replied mutation's cycle was acknowledged durable on
   // the backup before the client saw the reply -- nothing to wait for
-  // beyond stray async snapshot shipments.
+  // beyond stray async snapshot shipments and trailing reply bodies.
+  quiesce_primary();
   ASSERT_TRUE(wait_synced());
   expect_volumes_equal();
   EXPECT_GT(replica_->applier().applied(), 0u);
@@ -343,6 +355,7 @@ TEST_F(ReplicationSuite, AckOneShipsEveryFlushCycleToTheBackup) {
 TEST_F(ReplicationSuite, AsyncModeCatchesUpAndConverges) {
   boot(storage::AckMode::async);
   workload(25);
+  quiesce_primary();
   ASSERT_TRUE(wait_synced());
   expect_volumes_equal();
 }
@@ -360,6 +373,7 @@ TEST_F(ReplicationSuite, LinkFaultsNeverTearAGroupOrDoubleApply) {
                        {.drop = 0.15, .duplicate = 0.10, .reorder = 0.15});
   workload(30);
   net_.clear_link_faults();
+  quiesce_primary();
   ASSERT_TRUE(wait_synced());
   // Byte equality is the strong form of both properties: a torn group or
   // a double-applied LSN would leave the backup's journals differing
@@ -534,6 +548,7 @@ TEST_F(ReplicationSuite, LateAttachResyncsAWholeVolume) {
   expect_volumes_equal();
   // And the stream continues past the resync.
   ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 7).ok());
+  quiesce_primary();
   ASSERT_TRUE(wait_synced());
   expect_volumes_equal();
 }

@@ -1,13 +1,15 @@
 // Tests for the completion-based RPC core: pipelined trans_async with
 // out-of-order completion, the one-shot completion registry, the
 // generation-guarded (port -> machine) cache under pipelining, concurrent
-// set_default_timeout, and the batch envelope (codec, dispatch, per-entry
-// status, fan-out).
+// set_default_timeout, replies settled on the delivering thread, and the
+// batch envelope (codec, dispatch, per-entry status, fan-out).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -164,8 +166,8 @@ TEST(PipelineTest, PipelinedTimeoutsAllFire) {
 
 TEST(PipelineTest, LostReplyTimesOutUnderContinuousTraffic) {
   // A transaction whose reply never comes must hit its deadline even
-  // while other replies keep the completion pump busy (the pump checks
-  // deadlines after every reap, not only on idle ticks).
+  // while other replies keep arriving (the timer pump runs whatever the
+  // reply traffic does).
   net::Network net;
   net::Machine& sm = net.add_machine("server");
   net::Machine& cm = net.add_machine("client");
@@ -301,6 +303,133 @@ TEST(TransportConfigTest, SetDefaultTimeoutRacesTransSafely) {
   }
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GE(transport.default_timeout(), 1'000ms);
+}
+
+// ------------------------------------------------------------ inline settle
+
+/// Records, per tag (params[0]), the thread a request or reply was seen
+/// on.
+class ThreadLog {
+ public:
+  void record(std::uint64_t tag) {
+    const std::lock_guard lock(mutex_);
+    threads_[tag] = std::this_thread::get_id();
+  }
+  [[nodiscard]] std::map<std::uint64_t, std::thread::id> snapshot() const {
+    const std::lock_guard lock(mutex_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<std::uint64_t, std::thread::id> threads_;
+};
+
+/// Echoes params[0], noting the thread each handler runs on.
+class ThreadNotingEcho final : public Service {
+ public:
+  ThreadNotingEcho(net::Machine& machine, Port port, ThreadLog& log)
+      : Service(machine, port, "echo"), log_(log) {}
+  ~ThreadNotingEcho() override { stop(); }
+
+ protected:
+  net::Message handle(const net::Delivery& request) override {
+    log_.record(request.message.header.params[0]);
+    net::Message reply = net::make_reply(request.message, ErrorCode::ok);
+    reply.header.params[0] = request.message.header.params[0];
+    return reply;
+  }
+
+ private:
+  ThreadLog& log_;
+};
+
+/// Pass-through client filter noting the thread each reply arrives on.
+class ThreadNotingFilter final : public MessageFilter {
+ public:
+  explicit ThreadNotingFilter(ThreadLog& log) : log_(log) {}
+  void outgoing(net::Message&, MachineId) override {}
+  bool incoming(net::Message& msg, MachineId) override {
+    log_.record(msg.header.params[0]);
+    return true;
+  }
+
+ private:
+  ThreadLog& log_;
+};
+
+TEST(InlineSettleTest, ReplySettlesOnTheServerThreadInProcess) {
+  // On the in-process network the server worker that sends a reply also
+  // delivers it, and the client settles it right there: the incoming
+  // filter runs on the handler's own thread, with no pump hop between.
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  net::Machine& cm = net.add_machine("client");
+  ThreadLog handlers;
+  ThreadLog settles;
+  ThreadNotingEcho service(sm, Port(0x2020), handlers);
+  service.start(2);
+  Transport transport(cm, 1);
+  transport.set_filter(std::make_shared<ThreadNotingFilter>(settles));
+
+  constexpr std::uint64_t kCalls = 64;
+  for (std::uint64_t i = 0; i < kCalls / 2; ++i) {
+    ASSERT_TRUE(transport.trans(request_to(service.put_port(), kFast, i)).ok());
+  }
+  std::vector<Future> window;
+  for (std::uint64_t i = kCalls / 2; i < kCalls; ++i) {
+    window.push_back(
+        transport.trans_async(request_to(service.put_port(), kFast, i)));
+  }
+  for (auto& future : window) {
+    ASSERT_TRUE(future.get().ok());
+  }
+  const auto handled = handlers.snapshot();
+  const auto settled = settles.snapshot();
+  ASSERT_EQ(handled.size(), kCalls);
+  ASSERT_EQ(settled.size(), kCalls);
+  for (const auto& [tag, thread] : settled) {
+    EXPECT_EQ(thread, handled.at(tag)) << "tag " << tag;
+    EXPECT_NE(thread, std::this_thread::get_id()) << "tag " << tag;
+  }
+}
+
+TEST(InlineSettleTest, DestroyingTransportMidReplyStreamResolvesEveryFuture) {
+  // Replies keep arriving on server threads while the transport dies.
+  // ~Transport must wait out any settle in progress, start no new one, and
+  // leave no future unresolved (a TSan/ASan run checks the first two).
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  net::Machine& cm = net.add_machine("client");
+  SluggishEcho service(sm, Port(0x2021), "echo");
+  service.start(2);
+
+  constexpr int kRounds = 200;
+  constexpr std::uint64_t kWindow = 32;
+  std::uint64_t answered = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Future> futures;
+    futures.reserve(kWindow);
+    {
+      Transport transport(cm, static_cast<std::uint64_t>(round) + 1);
+      for (std::uint64_t i = 0; i < kWindow; ++i) {
+        futures.push_back(
+            transport.trans_async(request_to(service.put_port(), kFast, i)));
+      }
+    }
+    for (std::uint64_t i = 0; i < kWindow; ++i) {
+      ASSERT_TRUE(futures[i].ready()) << "round " << round << " call " << i;
+      const auto outcome = futures[i].get();
+      if (outcome.ok()) {
+        EXPECT_EQ(outcome.value().message.header.params[0], i + 1);
+        ++answered;
+      } else {
+        EXPECT_EQ(outcome.error(), ErrorCode::timeout);
+      }
+    }
+  }
+  // Some replies did beat the destructor, so settles really raced it.
+  EXPECT_GT(answered, 0u);
 }
 
 // ----------------------------------------------------------------- batching

@@ -1,5 +1,6 @@
 // Tests for the bank server (§3.6): accounts, transfers, currencies,
-// conversion, minting, and the rights discipline around money movement.
+// conversion, minting, the rights discipline around money movement, and
+// multi-currency balances across a restart.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,6 +8,7 @@
 #include "amoeba/common/rng.hpp"
 #include "amoeba/servers/bank_server.hpp"
 #include "amoeba/servers/common.hpp"
+#include "amoeba/storage/backend.hpp"
 
 namespace amoeba::servers {
 namespace {
@@ -204,6 +206,61 @@ TEST_F(BankSuite, TransferManyRightsDisciplineHoldsPerEntry) {
   EXPECT_EQ(outcomes[0].error(), ErrorCode::permission_denied);
   EXPECT_TRUE(outcomes[1].ok());
   EXPECT_EQ(client_->balance(bob_, currency::kDollar).value(), 10);
+}
+
+TEST(BankRestartTest, MultiCurrencyBalancesSurviveRestart) {
+  // Balances live in a sorted (currency, balance) vector and are journaled
+  // as a count then pairs.  Minting yen before francs before dollars, and
+  // converting into an absent currency, inserts out of currency order; the
+  // recovered server must still see every balance.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  rpc::Transport transport(client_machine, 7);
+  Rng rng(41);
+  const std::shared_ptr<const core::ProtectionScheme> scheme =
+      core::make_scheme(core::SchemeKind::commutative, rng);
+  auto backend = std::make_shared<storage::MemoryBackend>(16);
+  constexpr std::uint32_t kZloty = 9;  // no rate; only minted
+  core::Capability alice;
+  core::Capability bob;
+  {
+    BankServer bank(bank_machine, Port(0xBA7D), scheme, 1, backend);
+    bank.set_conversion_rate(currency::kFranc, currency::kDollar, 3, 1);
+    bank.start();
+    BankClient client(transport, bank.put_port());
+    alice = client.create_account().value();
+    bob = client.create_account().value();
+    const core::Capability master = bank.master_capability();
+    ASSERT_TRUE(client.mint(master, alice, kZloty, 9).ok());
+    ASSERT_TRUE(client.mint(master, alice, currency::kYen, 500).ok());
+    ASSERT_TRUE(client.mint(master, alice, currency::kFranc, 40).ok());
+    ASSERT_TRUE(client.mint(master, bob, currency::kFranc, 1).ok());
+    ASSERT_TRUE(
+        client.convert(alice, currency::kFranc, currency::kDollar, 10).ok());
+    ASSERT_TRUE(client.transfer(alice, bob, currency::kYen, 200).ok());
+    ASSERT_TRUE(client.transfer(alice, bob, currency::kDollar, 5).ok());
+  }
+  const auto image = backend->capture();
+  BankServer bank(bank_machine, Port(0xBA7D), scheme, 99, image);
+  bank.start();
+  transport.flush_cache();
+  BankClient client(transport, bank.put_port());
+  EXPECT_EQ(client.balance(alice, currency::kDollar).value(), 25);
+  EXPECT_EQ(client.balance(alice, currency::kFranc).value(), 30);
+  EXPECT_EQ(client.balance(alice, currency::kYen).value(), 300);
+  EXPECT_EQ(client.balance(alice, kZloty).value(), 9);
+  EXPECT_EQ(client.balance(bob, currency::kDollar).value(), 5);
+  EXPECT_EQ(client.balance(bob, currency::kFranc).value(), 1);
+  EXPECT_EQ(client.balance(bob, currency::kYen).value(), 200);
+  EXPECT_EQ(client.balance(bob, kZloty).value(), 0);
+  // The recovered accounts still move money in every currency.
+  ASSERT_TRUE(client.transfer(bob, alice, currency::kYen, 200).ok());
+  ASSERT_TRUE(client.transfer(alice, bob, kZloty, 9).ok());
+  EXPECT_EQ(client.balance(alice, currency::kYen).value(), 500);
+  EXPECT_EQ(client.balance(bob, currency::kYen).value(), 0);
+  EXPECT_EQ(client.balance(bob, kZloty).value(), 9);
+  EXPECT_EQ(client.balance(alice, kZloty).value(), 0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // restriction, revocation, and quota-by-pricing through the bank (§3.6).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 
 #include "amoeba/common/rng.hpp"
@@ -118,6 +119,28 @@ TEST_F(FlatFileSuite, FileServerConsumesBlockServerBlocks) {
   ASSERT_TRUE(client_->write(before.value(), 0, data).ok());
   const auto stats_after = blocks_->disk_stats();
   EXPECT_EQ(stats_after.allocations - stats_before.allocations, 3u);
+}
+
+TEST_F(FlatFileSuite, FailedBlockAllocationReportsItsOwnError) {
+  // A write that must grow the file allocates blocks through a nested
+  // RPC; when that call fails, the client hears why, not no_space.
+  const auto file = client_->create();
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(client_->write(file.value(), 0, Buffer(kBlockSize)).ok());
+  files_->transport().set_default_timeout(std::chrono::milliseconds(100));
+  blocks_->stop();
+  {
+    // Stopped but still holding its port, like a hung process: requests
+    // are admitted and never answered.
+    const net::Receiver hung = storage_machine_.listen(Port(0xB10C));
+    EXPECT_EQ(client_->write(file.value(), kBlockSize, Buffer(kBlockSize))
+                  .error(),
+              ErrorCode::timeout);
+  }
+  // Gone altogether: no machine admits the port any more.
+  EXPECT_EQ(
+      client_->write(file.value(), 2 * kBlockSize, Buffer(kBlockSize)).error(),
+      ErrorCode::no_such_port);
 }
 
 TEST_F(FlatFileSuite, DestroyReleasesBlocks) {
