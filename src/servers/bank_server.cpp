@@ -18,19 +18,23 @@ namespace {
   return !__builtin_mul_overflow(a, b, &out);
 }
 
+/// Orders a (currency, balance) pair against a currency.
+bool currency_below(const std::pair<std::uint32_t, std::int64_t>& entry,
+                    std::uint32_t currency) {
+  return entry.first < currency;
+}
+
 }  // namespace
 
 std::int64_t BankServer::Account::balance(std::uint32_t currency) const {
-  const auto it = std::lower_bound(
-      balances.begin(), balances.end(), currency,
-      [](const auto& entry, std::uint32_t c) { return entry.first < c; });
+  const auto it = std::lower_bound(balances.begin(), balances.end(),
+                                   currency, currency_below);
   return it != balances.end() && it->first == currency ? it->second : 0;
 }
 
 std::int64_t& BankServer::Account::slot(std::uint32_t currency) {
-  auto it = std::lower_bound(
-      balances.begin(), balances.end(), currency,
-      [](const auto& entry, std::uint32_t c) { return entry.first < c; });
+  auto it = std::lower_bound(balances.begin(), balances.end(), currency,
+                             currency_below);
   if (it == balances.end() || it->first != currency) {
     it = balances.insert(it, {currency, 0});
   }

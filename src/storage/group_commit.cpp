@@ -43,7 +43,13 @@ GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
 }
 
 GroupCommitter::~GroupCommitter() {
-  flusher_.request_stop();
+  {
+    // Under mutex_: the flusher reads stop_requested() in its wait
+    // predicate, and a stop published between that check and the wait
+    // would be a lost wakeup (the flusher then sleeps forever).
+    const std::lock_guard lock(mutex_);
+    flusher_.request_stop();
+  }
   work_cv_.notify_all();
   // jthread joins; the flusher drains every pending enqueue AND waits out
   // every in-flight async completion first (completions touch this
