@@ -71,16 +71,15 @@
 // (Opened2) flush their two dirty payloads as ONE atomic journal group,
 // so a crash image can never hold half a bank transfer.
 //
-// Group commit.  With Durability::committer set, the framed record is
-// ENQUEUED (under the shard lock) to the volume's group-commit flusher
-// with an assigned commit ticket; the mutating operation then releases
-// the shard lock and blocks until the flusher reports the ticket durable,
-// so "durable on return" still holds while one backend write + one fsync
-// per flush cycle covers every record that piled up meanwhile.  Handlers
-// that can pipeline use Opened::release_async() to carry the ticket as a
-// future and wait through ShardedObjectStore::wait_durable() later.
-// Without a committer every append is synchronous on the mutator thread
-// (the PR-5 shape, still supported).
+// Group commit.  A durable store journals through its volume's
+// Durability::committer (required with a backend): the framed record is
+// ENQUEUED (under the shard lock) to the group-commit flusher with an
+// assigned commit ticket; the mutating operation then releases the shard
+// lock and blocks until the flusher reports the ticket durable, so
+// "durable on return" holds while one backend write + one fsync per flush
+// cycle covers every record that piled up meanwhile.  Handlers that can
+// pipeline use Opened::release_async() to carry the ticket as a future and
+// wait through ShardedObjectStore::wait_durable() later.
 //
 // Shards self-compact: after `compact_after` records a shard serializes
 // its live slots into a snapshot and restarts its journal.  The recovery
@@ -120,10 +119,10 @@ namespace amoeba::core {
 template <typename T>
 struct Durability {
   std::shared_ptr<storage::Backend> backend;  // null = in-memory only
-  /// Group-commit queue for `backend` (must wrap the same volume).  When
-  /// set, journal appends are enqueued and batched by the volume's flusher
-  /// and mutators block -- after releasing the shard lock -- on their
-  /// commit ticket; when null, every append is synchronous.
+  /// Group-commit queue for `backend` (must wrap the same volume; required
+  /// whenever `backend` is set).  Journal appends are enqueued and batched
+  /// by the volume's flusher and mutators block -- after releasing the
+  /// shard lock -- on their commit ticket.
   std::shared_ptr<storage::GroupCommitter> committer;
   std::function<void(Writer&, const T&)> encode;
   std::function<bool(Reader&, T&)> decode;
@@ -172,6 +171,11 @@ class ShardedObjectStore {
             "ObjectStore: backend shard count must match the store's "
             "(object-number layout is per-shard)");
       }
+    }
+    if (durability_.backend != nullptr && durability_.committer == nullptr) {
+      throw UsageError(
+          "ObjectStore: durable stores need a group committer (it is the "
+          "only journal write path)");
     }
     if (durability_.committer != nullptr &&
         durability_.committer->backend() != durability_.backend) {
@@ -261,8 +265,8 @@ class ShardedObjectStore {
 
     /// Journals any dirty payload and releases the object WITHOUT blocking
     /// on group-commit durability: returns the commit ticket to hand to
-    /// ShardedObjectStore::wait_durable() later (0 -- already durable --
-    /// for in-memory and synchronously journaled stores).  The pipelined
+    /// ShardedObjectStore::wait_durable() later (0 -- nothing to wait for
+    /// -- for in-memory stores and clean releases).  The pipelined
     /// form: keep a bounded window of outstanding tickets and overlap many
     /// mutations against one flush cycle.
     [[nodiscard]] std::uint64_t release_async() {
@@ -507,10 +511,10 @@ class ShardedObjectStore {
   }
 
   /// Blocks until the given group-commit ticket is durable (no-op for
-  /// ticket 0 or a store without a committer).  Pairs with
+  /// ticket 0, which in-memory stores hand out).  Pairs with
   /// Opened::release_async() for pipelined mutation windows.
   void wait_durable(std::uint64_t ticket) {
-    if (ticket != 0 && durability_.committer != nullptr) {
+    if (ticket != 0) {
       durability_.committer->wait_durable(ticket);
     }
   }
@@ -869,9 +873,9 @@ class ShardedObjectStore {
   }
 
   /// Journal/recovery counters (zeroes for an in-memory store).
-  /// The store's group committer -- null for in-memory and synchronously
-  /// journaled stores.  Exposed for flusher statistics (benchmarks print
-  /// group sizes) and for sharing one committer across stores of a volume.
+  /// The store's group committer -- null for in-memory stores.  Exposed
+  /// for flusher statistics (benchmarks print group sizes) and for sharing
+  /// one committer across stores of a volume.
   [[nodiscard]] const std::shared_ptr<storage::GroupCommitter>& committer()
       const {
     return durability_.committer;
@@ -1215,13 +1219,10 @@ class ShardedObjectStore {
   }
 
   /// Appends one single-shard record to the volume: LSN assignment and
-  /// shard counters here (under the shard lock), then either
-  /// * group commit -- the record is ENCODED DIRECTLY into the
-  ///   committer's staging buffer via enqueue_with(), skipping the
-  ///   frame-to-scratch copy the pre-encoded enqueue() path pays, or
-  /// * synchronous mode -- framed into the shard scratch and appended on
-  ///   this thread (returns 0, already durable).
-  /// Caller holds the shard mutex; group-committed callers wait on the
+  /// shard counters here (under the shard lock), then the record is
+  /// ENCODED DIRECTLY into the committer's staging buffer via
+  /// enqueue_with(), skipping the frame-to-scratch copy the pre-encoded
+  /// enqueue() path pays.  Caller holds the shard mutex and waits on the
   /// returned ticket AFTER dropping it.
   [[nodiscard]] std::uint64_t submit_raw_locked(
       std::size_t s, Shard& shard, storage::RecordType type,
@@ -1230,23 +1231,15 @@ class ShardedObjectStore {
     const std::uint64_t lsn = ++shard.lsn;
     ++shard.journal_records;
     ++shard.records_pending;
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      std::size_t framed = 0;
-      ticket = durability_.committer->enqueue_with(s, [&](Buffer& staging) {
-        const std::size_t before = staging.size();
-        storage::encode_record_into(type, object, secret, lsn, payload,
-                                    staging);
-        framed = staging.size() - before;
-      });
-      shard.journal_bytes += framed;
-    } else {
-      shard.scratch_frame.clear();
-      storage::encode_record_into(type, object, secret, lsn, payload,
-                                  shard.scratch_frame);
-      shard.journal_bytes += shard.scratch_frame.size();
-      durability_.backend->append_journal(s, shard.scratch_frame);
-    }
+    std::size_t framed = 0;
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_with(s, [&](Buffer& staging) {
+          const std::size_t before = staging.size();
+          storage::encode_record_into(type, object, secret, lsn, payload,
+                                      staging);
+          framed = staging.size() - before;
+        });
+    shard.journal_bytes += framed;
     maybe_compact_locked(s, shard);
     return ticket;
   }
@@ -1340,13 +1333,9 @@ class ShardedObjectStore {
     if (group.empty()) {
       return 0;
     }
-    std::uint64_t ticket = 0;
-    if (durability_.committer != nullptr) {
-      // One enqueue_group: no flush-cycle boundary can split the pair.
-      ticket = durability_.committer->enqueue_group(std::move(group));
-    } else {
-      durability_.backend->append_journal_batch(std::move(group));
-    }
+    // One enqueue_group: no flush-cycle boundary can split the pair.
+    const std::uint64_t ticket =
+        durability_.committer->enqueue_group(std::move(group));
     for (Opened* member : {&a, &b}) {
       if (member->value != nullptr && member->store_ != nullptr) {
         const std::size_t s = shard_index(member->object);

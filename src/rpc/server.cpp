@@ -448,54 +448,35 @@ void Service::restore_reply_floors(std::span<const std::uint8_t> floors) {
 }
 
 void Service::persist_reply_floor(const ClientKey& key, std::uint64_t seq) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::function<std::uint64_t(Buffer)> sink;
-  std::shared_ptr<storage::GroupCommitter> committer;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-    committer = reply_committer_;
-  }
-  if (!sink) {
+  if (!reply_committer_set_.load(std::memory_order_acquire)) {
     return;
   }
   std::uint64_t ticket = 0;
   {
-    // One mutex covers update + encode + write: persists are totally
+    // One mutex covers update + encode + enqueue: persists are totally
     // ordered, so a slower thread can never overwrite a newer image with
     // a stale one (the §8.4 never-twice ordering).
     const std::lock_guard lock(reply_floor_mutex_);
     PersistedClient& row = reply_floors_[key];
     row.floor = std::max(row.floor, seq);
-    ticket = sink(encode_reply_floors_locked());
+    ticket = reply_committer_->enqueue_meta(kReplyFloorsKey,
+                                            encode_reply_floors_locked());
   }
   // The claimed seq must be durable BEFORE the handler can journal any
   // effect: a crash in between loses the operation, never doubles it.
   // The wait runs outside the mutex, so concurrent claims keep piling
   // their floors into the same flush cycle (the committer coalesces the
   // per-key images; the newest -- containing every row here -- wins).
-  if (ticket != 0 && committer != nullptr) {
-    committer->wait_durable(ticket);
-  }
+  reply_committer_->wait_durable(ticket);
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
                                  const net::Message& reply) {
-  if (!reply_floor_sink_set_.load(std::memory_order_acquire)) {
+  if (!reply_committer_set_.load(std::memory_order_acquire)) {
     return;
   }
   if (reply.data.size() > kPersistedReplyMaxBytes) {
     return;  // too big for the rewritten-whole metadata image
-  }
-  std::function<std::uint64_t(Buffer)> sink;
-  {
-    const std::lock_guard lock(filter_mutex_);
-    sink = reply_floor_sink_;
-  }
-  if (!sink) {
-    return;
   }
   Writer body;
   encode_reply_body(reply, body);
@@ -507,7 +488,8 @@ void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
   }
   // Best effort: no durability wait (see the header comment) -- the
   // enqueue rides whatever flush cycle comes next.
-  (void)sink(encode_reply_floors_locked());
+  (void)reply_committer_->enqueue_meta(kReplyFloorsKey,
+                                       encode_reply_floors_locked());
 }
 
 void Service::set_info_detail(std::function<std::string()> provider) {
@@ -524,15 +506,16 @@ std::string Service::info_detail() const {
   return provider != nullptr ? provider() : std::string("role=standalone");
 }
 
-void Service::attach_durability(std::shared_ptr<storage::Backend> backend) {
-  attach_durability(std::move(backend), nullptr);
-}
-
 void Service::attach_durability(
     std::shared_ptr<storage::Backend> backend,
     std::shared_ptr<storage::GroupCommitter> committer) {
   if (backend == nullptr) {
     return;
+  }
+  if (committer == nullptr) {
+    throw UsageError(
+        "Service::attach_durability: reply floors persist through the "
+        "volume's group committer; none was given");
   }
   // A replicated volume makes this service a replication primary: publish
   // the role, peer count and shipping lag through std_info's detail line
@@ -543,51 +526,33 @@ void Service::attach_durability(
   // keep the decorator/committer alive as long as the provider.
   const auto replicated =
       std::dynamic_pointer_cast<storage::ReplicatedBackend>(backend);
-  if (replicated != nullptr || committer != nullptr) {
-    set_info_detail([replicated, committer] {
-      std::string line;
-      if (replicated != nullptr) {
-        replicated->heartbeat();  // refresh acked floors before reporting
-        const storage::ReplicatedBackend::Stats stats = replicated->stats();
-        line = "role=primary mode=";
-        line += to_string(stats.mode);
-        line += " peers=" + std::to_string(stats.peers.size());
-        line += " shipped=" + std::to_string(stats.shipped_lsn);
-        for (const auto& peer : stats.peers) {
-          line += " " + peer.name +
-                  ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
-        }
-      } else {
-        line = "role=standalone";
+  set_info_detail([replicated, committer] {
+    std::string line;
+    if (replicated != nullptr) {
+      replicated->heartbeat();  // refresh acked floors before reporting
+      const storage::ReplicatedBackend::Stats stats = replicated->stats();
+      line = "role=primary mode=";
+      line += to_string(stats.mode);
+      line += " peers=" + std::to_string(stats.peers.size());
+      line += " shipped=" + std::to_string(stats.shipped_lsn);
+      for (const auto& peer : stats.peers) {
+        line += " " + peer.name +
+                ".lag=" + std::to_string(stats.shipped_lsn - peer.acked_lsn);
       }
-      if (committer != nullptr) {
-        const storage::GroupCommitter::Stats gc = committer->stats();
-        line += " gc.groups=" + std::to_string(gc.groups);
-        line += " gc.inflight=" + std::to_string(gc.inflight_cycles);
-        line += " gc.sqe=" + std::to_string(gc.sqe_submitted);
-        line += " gc.cqe=" + std::to_string(gc.cqe_completed);
-        line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
-      }
-      return line;
-    });
-  }
-  restore_reply_floors(backend->get_meta(kReplyFloorsKey));
-  {
-    const std::lock_guard lock(filter_mutex_);
-    reply_committer_ = committer;
-    if (committer != nullptr) {
-      reply_floor_sink_ = [committer](Buffer image) {
-        return committer->enqueue_meta(kReplyFloorsKey, std::move(image));
-      };
     } else {
-      reply_floor_sink_ = [backend =
-                               std::move(backend)](const Buffer& image) {
-        backend->put_meta(kReplyFloorsKey, image);
-        return std::uint64_t{0};  // synchronous: already durable
-      };
+      line = "role=standalone";
     }
-  }
-  reply_floor_sink_set_.store(true, std::memory_order_release);
+    const storage::GroupCommitter::Stats gc = committer->stats();
+    line += " gc.groups=" + std::to_string(gc.groups);
+    line += " gc.inflight=" + std::to_string(gc.inflight_cycles);
+    line += " gc.sqe=" + std::to_string(gc.sqe_submitted);
+    line += " gc.cqe=" + std::to_string(gc.cqe_completed);
+    line += " gc.linger_us=" + std::to_string(gc.linger_us_current);
+    return line;
+  });
+  restore_reply_floors(backend->get_meta(kReplyFloorsKey));
+  reply_committer_ = std::move(committer);
+  reply_committer_set_.store(true, std::memory_order_release);
 }
 
 net::Message Service::handle(const net::Delivery& request) {

@@ -1,16 +1,17 @@
 #include "amoeba/storage/backend.hpp"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 
 #include "amoeba/common/error.hpp"
 #include "amoeba/storage/record.hpp"
@@ -21,6 +22,23 @@ namespace {
 void check_shards(std::size_t shards) {
   if (shards == 0) {
     throw UsageError("storage::Backend: need at least one shard");
+  }
+}
+
+/// Runs a synchronous append and reports its outcome through `complete`,
+/// inline (or rethrows a failure when the caller passed no completion).
+template <typename Fn>
+void complete_inline(const AppendCompletion& complete, Fn&& append) {
+  std::exception_ptr error;
+  try {
+    append();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (complete) {
+    complete(error);
+  } else if (error) {
+    std::rethrow_exception(error);
   }
 }
 
@@ -36,22 +54,34 @@ IoCounters& this_thread_io_counters() {
 
 // ----------------------------------------------------------------- Backend
 
-void Backend::submit_append_group(std::vector<ShardAppend>&& appends,
-                                  AppendCompletion complete) {
-  // Synchronous adapter: append_journal_batch is durable on return, so the
-  // completion fires inline.  An async backend overrides this to complete
-  // from its reaping side instead.
+void append_group_durably(Backend& backend,
+                          std::vector<ShardAppend>&& appends) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;
   std::exception_ptr error;
-  try {
-    append_journal_batch(std::move(appends));
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (complete) {
-    complete(error);
-  } else if (error) {
+  backend.submit_append_group(std::move(appends), [&](std::exception_ptr e) {
+    const std::lock_guard lock(mutex);
+    error = std::move(e);
+    done = true;
+    cv.notify_one();
+  });
+  std::unique_lock lock(mutex);
+  cv.wait(lock, [&] { return done; });
+  if (error != nullptr) {
     std::rethrow_exception(error);
   }
+}
+
+void Backend::append_journal(std::size_t shard,
+                             std::span<const std::uint8_t> bytes) {
+  std::vector<ShardAppend> group;
+  group.push_back({shard, Buffer(bytes.begin(), bytes.end())});
+  append_group_durably(*this, std::move(group));
+}
+
+void Backend::append_journal_batch(std::vector<ShardAppend>&& appends) {
+  append_group_durably(*this, std::move(appends));
 }
 
 // ----------------------------------------------------------- MemoryBackend
@@ -64,42 +94,34 @@ MemoryBackend::MemoryBackend(std::size_t shards) {
   }
 }
 
-void MemoryBackend::append_journal(std::size_t shard,
-                                   std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  {
-    const std::lock_guard lock(s.mutex);
-    s.journal.insert(s.journal.end(), bytes.begin(), bytes.end());
-  }
-  appends_.fetch_add(1, std::memory_order_relaxed);
-  hook_after_append();
-}
-
-void MemoryBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  if (appends.empty()) {
-    return;
-  }
-  // All involved shard locks held together (ascending order, matching
-  // capture()), so a crash image contains the whole group or none of it.
-  std::vector<std::size_t> order;
-  order.reserve(appends.size());
-  for (const ShardAppend& a : appends) {
-    order.push_back(a.shard);
-  }
-  std::sort(order.begin(), order.end());
-  order.erase(std::unique(order.begin(), order.end()), order.end());
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(order.size());
-  for (const std::size_t s : order) {
-    locks.emplace_back(shards_.at(s)->mutex);
-  }
-  for (const ShardAppend& a : appends) {
-    Buffer& journal = shards_[a.shard]->journal;
-    journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
-  }
-  locks.clear();
-  appends_.fetch_add(appends.size(), std::memory_order_relaxed);
-  hook_after_append();
+void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
+                                        AppendCompletion complete) {
+  complete_inline(complete, [&] {
+    if (appends.empty()) {
+      return;
+    }
+    // All involved shard locks held together (ascending order, matching
+    // capture()), so a crash image contains the whole group or none of it.
+    std::vector<std::size_t> order;
+    order.reserve(appends.size());
+    for (const ShardAppend& a : appends) {
+      order.push_back(a.shard);
+    }
+    std::sort(order.begin(), order.end());
+    order.erase(std::unique(order.begin(), order.end()), order.end());
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(order.size());
+    for (const std::size_t s : order) {
+      locks.emplace_back(shards_.at(s)->mutex);
+    }
+    for (const ShardAppend& a : appends) {
+      Buffer& journal = shards_[a.shard]->journal;
+      journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
+    }
+    locks.clear();
+    appends_.fetch_add(appends.size(), std::memory_order_relaxed);
+    hook_after_append();
+  });
 }
 
 Buffer MemoryBackend::read_journal(std::size_t shard) const {
@@ -248,20 +270,9 @@ void fsync_or_throw(int fd, const std::filesystem::path& dir,
 // bytes are that shard's already-framed journal records.  The checksum
 // covers the WHOLE body, so a group is on the recovered volume entirely or
 // not at all -- the cross-shard atomicity a pile of per-shard files cannot
-// provide.
+// provide.  An entry with no bytes is a snapshot's restart marker: the
+// shard's journal begins again after it.
 constexpr std::uint64_t kCommitLogGcBytes = std::uint64_t{8} << 20;
-
-inline std::uint32_t load_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-inline std::uint64_t load_u64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(load_u32(p)) |
-         static_cast<std::uint64_t>(load_u32(p + 4)) << 32;
-}
 
 inline void put_u32(Buffer& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -308,29 +319,45 @@ void for_each_commit_entry(std::span<const std::uint8_t> log, Fn&& entry) {
   }
 }
 
+/// Applies one commit-log entry to a shard's reassembled journal.
+void apply_commit_entry(Buffer& journal, const Buffer& bytes) {
+  if (bytes.empty()) {
+    journal.clear();  // restart marker: the snapshot subsumes the prefix
+  } else {
+    journal.insert(journal.end(), bytes.begin(), bytes.end());
+  }
+}
+
 }  // namespace
 
 FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
     : directory_(std::move(directory)) {
   check_shards(shards);
+  // Per-shard journal files are the pre-commit-log format: their records
+  // would be silently ignored, so a volume still holding any is refused.
+  // (Empty ones are what that format left on a primary whose every write
+  // went through the commit log; they carry nothing.)
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(directory_, ec)) {
+    const auto name = entry.path().filename().string();
+    std::error_code size_ec;
+    if (name.starts_with("shard-") && name.ends_with(".journal") &&
+        entry.file_size(size_ec) > 0 && !size_ec) {
+      throw UsageError(
+          "FileBackend: " + entry.path().string() +
+          " is a per-shard journal, an on-disk format this version no "
+          "longer reads (journal records now live only in commit.log); "
+          "refusing to open the volume");
+    }
+  }
   std::filesystem::create_directories(directory_);
   dir_fd_ = ::open(directory_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (dir_fd_ < 0) {
     throw UsageError("FileBackend: cannot open directory " +
                      directory_.string());
   }
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->journal_fd =
-        ::open(journal_path(s).c_str(),
-               O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (shard->journal_fd < 0) {
-      throw UsageError("FileBackend: cannot open journal in " +
-                       directory_.string());
-    }
-    shards_.push_back(std::move(shard));
-  }
+  snapshot_mutexes_ = std::vector<std::mutex>(shards);
   commit_fd_ = ::open(commit_log_path().c_str(),
                       O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
   if (commit_fd_ < 0) {
@@ -339,35 +366,19 @@ FileBackend::FileBackend(std::filesystem::path directory, std::size_t shards)
   }
   const off_t size = ::lseek(commit_fd_, 0, SEEK_END);
   commit_log_bytes_ = size > 0 ? static_cast<std::uint64_t>(size) : 0;
-  // GC floors: a commit-log record at or below its shard's snapshot LSN is
-  // already subsumed.  Seed from the on-disk snapshots so a reopened
-  // volume's first GC is as effective as a long-lived one's.
-  commit_floor_.assign(shards, 0);
-  for (std::size_t s = 0; s < shards; ++s) {
-    commit_floor_[s] = peek_snapshot_lsn(read_file(snapshot_path(s)));
-  }
-  // Newly created journal/commit-log files live in the directory inode;
-  // without this fsync a crash could unlink them even after their contents
-  // were acknowledged durable.
+  // A newly created commit log lives in the directory inode; without this
+  // fsync a crash could unlink it even after its contents were
+  // acknowledged durable.
   fsync_or_throw(dir_fd_, directory_, "volume open");
 }
 
 FileBackend::~FileBackend() {
-  for (const auto& shard : shards_) {
-    if (shard->journal_fd >= 0) {
-      ::close(shard->journal_fd);
-    }
-  }
   if (commit_fd_ >= 0) {
     ::close(commit_fd_);
   }
   if (dir_fd_ >= 0) {
     ::close(dir_fd_);
   }
-}
-
-std::filesystem::path FileBackend::journal_path(std::size_t shard) const {
-  return directory_ / ("shard-" + std::to_string(shard) + ".journal");
 }
 
 std::filesystem::path FileBackend::snapshot_path(std::size_t shard) const {
@@ -434,109 +445,8 @@ std::filesystem::path FileBackend::meta_path(std::string_view key) const {
   return directory_ / ("meta-" + escape_meta_key(key) + ".bin");
 }
 
-void FileBackend::append_journal(std::size_t shard,
-                                 std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
-  // A write-ahead append that did not reach the disk must not be reported
-  // as durable -- the store's caller would otherwise reply to a client
-  // with an effect the volume cannot recover.  Hence the real fsync; the
-  // per-record cost of this path is exactly what the group-commit flusher
-  // amortizes away.
-  write_all(s.journal_fd, bytes, directory_, "journal");
-  fsync_or_throw(s.journal_fd, directory_, "journal");
-}
-
-void FileBackend::append_journal_batch(std::vector<ShardAppend>&& appends) {
-  // A real disk offers no cross-file atomicity; per-shard gathered appends
-  // with torn-tail-tolerant framing are the honest contract here.  All
-  // entries of one shard go down as a single contiguous write (the flusher
-  // already concatenated its queue per shard, so the common case is one
-  // writev entry per touched shard), then ONE fsync per touched fd --
-  // grouping is where the whole PR's win comes from.
-  std::vector<std::size_t> touched;
-  touched.reserve(appends.size());
-  for (const ShardAppend& a : appends) {
-    touched.push_back(a.shard);
-  }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const std::size_t shard : touched) {
-    Shard& s = *shards_.at(shard);
-    const std::lock_guard lock(s.mutex);
-    std::vector<iovec> iov;
-    for (const ShardAppend& a : appends) {
-      if (a.shard == shard && !a.bytes.empty()) {
-        iov.push_back({const_cast<std::uint8_t*>(a.bytes.data()),
-                       a.bytes.size()});
-      }
-    }
-    std::size_t at = 0;
-    while (at < iov.size()) {
-      const std::size_t batch = std::min<std::size_t>(iov.size() - at, 512);
-      ++this_thread_io_counters().writes;
-      ssize_t n = ::writev(s.journal_fd, iov.data() + at,
-                           static_cast<int>(batch));
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        throw UsageError("FileBackend: journal writev failed (" +
-                         std::string(std::strerror(errno)) + ") in " +
-                         directory_.string());
-      }
-      // Consume fully written iovecs; resume a partially written one with
-      // a plain write_all on its remainder (short writev tails are rare
-      // enough that simplicity beats iovec surgery).
-      while (at < iov.size() &&
-             n >= static_cast<ssize_t>(iov[at].iov_len)) {
-        n -= static_cast<ssize_t>(iov[at].iov_len);
-        ++at;
-      }
-      if (at < iov.size() && n > 0) {
-        const auto* base = static_cast<const std::uint8_t*>(iov[at].iov_base);
-        write_all(s.journal_fd,
-                  {base + n, iov[at].iov_len - static_cast<std::size_t>(n)},
-                  directory_, "journal");
-        ++at;
-      }
-    }
-    fsync_or_throw(s.journal_fd, directory_, "journal");
-  }
-}
-
 Buffer FileBackend::read_journal(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  // Both locks (std::scoped_lock's deadlock-avoiding acquire): the shard's
-  // own journal file and its commit-log records must come from one
-  // consistent instant.
-  const std::scoped_lock lock(s.mutex, commit_mutex_);
-  Buffer own = read_file(journal_path(shard));
-  const Buffer grouped = commit_log_records_locked(shard);
-  if (grouped.empty()) {
-    return own;
-  }
-  if (own.empty()) {
-    return grouped;
-  }
-  // Sync appends and group commits interleave in wall time, but each
-  // stamps the shard's monotone LSN sequence at encode time (under the
-  // store's shard lock), so an LSN merge reconstructs the true order.
-  const std::vector<Record> a = decode_journal(own);
-  const std::vector<Record> b = decode_journal(grouped);
-  Buffer merged;
-  merged.reserve(own.size() + grouped.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() || j < b.size()) {
-    const bool from_own =
-        j == b.size() || (i < a.size() && a[i].lsn <= b[j].lsn);
-    encode_record(from_own ? a[i++] : b[j++], merged);
-  }
-  return merged;
-}
-
-Buffer FileBackend::commit_log_records_locked(std::size_t shard) const {
+  const std::lock_guard lock(commit_mutex_);
   // An async subclass may still have acknowledged-to-nobody frames in
   // flight; recovery must read a log with every completed frame on it.
   quiesce_commit_locked();
@@ -544,7 +454,7 @@ Buffer FileBackend::commit_log_records_locked(std::size_t shard) const {
   Buffer out;
   for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
     if (sh == shard) {
-      out.insert(out.end(), bytes.begin(), bytes.end());
+      apply_commit_entry(out, bytes);
     }
   });
   return out;
@@ -573,30 +483,24 @@ void FileBackend::encode_group_frame(const std::vector<ShardAppend>& appends,
   patch_u32(frame, 4, frame_checksum(body));
 }
 
+void FileBackend::append_frame_locked(const Buffer& frame) {
+  write_all(commit_fd_, frame, directory_, "commit log");
+  fsync_or_throw(commit_fd_, directory_, "commit log");
+  commit_log_bytes_ += frame.size();
+}
+
 void FileBackend::submit_append_group(std::vector<ShardAppend>&& appends,
                                       AppendCompletion complete) {
+  // Empty entries are restart markers on disk; an empty append is nothing.
   std::erase_if(appends,
                 [](const ShardAppend& a) { return a.bytes.empty(); });
-  std::exception_ptr error;
-  try {
+  complete_inline(complete, [&] {
     if (!appends.empty()) {
       const std::lock_guard lock(commit_mutex_);
       encode_group_frame(appends, commit_frame_);
-      // The whole point of the commit log: one contiguous write and ONE
-      // fsync make the entire group durable, where the per-shard journal
-      // files would pay one fsync per touched shard.
-      write_all(commit_fd_, commit_frame_, directory_, "commit log");
-      fsync_or_throw(commit_fd_, directory_, "commit log");
-      commit_log_bytes_ += commit_frame_.size();
+      append_frame_locked(commit_frame_);
     }
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (complete) {
-    complete(error);
-  } else if (error) {
-    std::rethrow_exception(error);
-  }
+  });
 }
 
 void FileBackend::replace_file_durably(const std::filesystem::path& path,
@@ -631,26 +535,18 @@ void FileBackend::replace_file_durably(const std::filesystem::path& path,
 
 void FileBackend::install_snapshot(std::size_t shard,
                                    std::span<const std::uint8_t> bytes) {
-  Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   replace_file_durably(snapshot_path(shard), bytes, "snapshot");
-  // Truncate the journal: records are replay-idempotent and LSN-gated, so
-  // a crash between the rename and this truncate only replays records the
-  // snapshot already holds.  O_APPEND repositions every later write, so
-  // the fd stays valid across the truncate.
-  if (::ftruncate(s.journal_fd, 0) != 0) {
-    throw UsageError("FileBackend: journal truncate failed in " +
-                     directory_.string());
-  }
-  fsync_or_throw(s.journal_fd, directory_, "journal");
-  // Advance the commit-log GC floor (every record of this shard already in
-  // the log was framed -- LSN-stamped -- before this snapshot was encoded,
-  // so the snapshot subsumes them all), and rewrite the log once it has
-  // grown past the threshold.  LSN gating makes the lag harmless: a stale
-  // record left in the log replays as a no-op.
+  // Restart the shard's journal with a marker frame.  Records are
+  // replay-idempotent and LSN-gated, so a crash between the rename and
+  // the marker only replays records the snapshot already holds, and a
+  // record framed before the snapshot but written after the marker (it
+  // sat in the committer's queue) replays as a no-op.  The marker lands
+  // behind every in-flight ring write, hence the quiesce.
   const std::lock_guard commit_lock(commit_mutex_);
-  commit_floor_.at(shard) =
-      std::max(commit_floor_[shard], peek_snapshot_lsn(bytes));
+  quiesce_commit_locked();
+  encode_group_frame({ShardAppend{shard, {}}}, commit_frame_);
+  append_frame_locked(commit_frame_);
   // Threshold plus a low-water doubling guard: when a rewrite barely
   // shrinks the log (other shards' records still live), the next one
   // waits until the log has doubled instead of thrashing rewrites at
@@ -665,57 +561,26 @@ void FileBackend::gc_commit_log_locked() {
   // The rewrite swaps commit_fd_ to a fresh inode; in-flight ring writes
   // against the old one would be silently dropped.  Drain them first.
   quiesce_commit_locked();
-  // This runs on a mutator's snapshot-install path, so it stays a linear
-  // byte scan: group checksums were just re-verified by the frame walk,
-  // and a record's LSN sits at a fixed offset, so surviving frames are
-  // copied as opaque spans -- no record decode, no per-record allocation.
+  // Each shard keeps exactly what read_journal() would return: its
+  // entries after its latest restart marker, as opaque byte runs.
   const Buffer log = read_file(commit_log_path());
-  std::vector<Buffer> per_shard(shards_.size());
+  std::vector<Buffer> per_shard(shard_count());
   for_each_commit_entry(log, [&](std::size_t sh, const Buffer& bytes) {
-    if (sh >= per_shard.size()) {
-      return;
-    }
-    const std::uint64_t floor = commit_floor_[sh];
-    Buffer& kept = per_shard[sh];
-    std::size_t pos = 0;
-    while (pos + 8 <= bytes.size()) {
-      const std::uint32_t length = load_u32(bytes.data() + pos);
-      if (length < 25 || pos + 8 + length > bytes.size()) {
-        break;  // malformed tail inside a checksummed group: stop here
-      }
-      // Record frame: length u32 | checksum u32 | type u8 | object u32 |
-      // secret u64 | lsn u64 | payload -- the LSN lives at offset 21.
-      if (load_u64(bytes.data() + pos + 21) > floor) {
-        const auto* from = bytes.data() + pos;
-        kept.insert(kept.end(), from, from + 8 + length);
-      }
-      pos += 8 + length;
+    if (sh < per_shard.size()) {
+      apply_commit_entry(per_shard[sh], bytes);
     }
   });
   // Survivors collapse into ONE frame: the rewrite is an atomic whole-file
   // replacement, so per-group framing buys nothing here.
-  Buffer rebuilt;
-  std::uint32_t entries = 0;
-  put_u32(rebuilt, 0);  // length placeholder
-  put_u32(rebuilt, 0);  // checksum placeholder
-  put_u32(rebuilt, 0);  // entry-count placeholder
+  std::vector<ShardAppend> survivors;
   for (std::size_t sh = 0; sh < per_shard.size(); ++sh) {
-    const Buffer& kept = per_shard[sh];
-    if (!kept.empty()) {
-      put_u32(rebuilt, static_cast<std::uint32_t>(sh));
-      put_u32(rebuilt, static_cast<std::uint32_t>(kept.size()));
-      rebuilt.insert(rebuilt.end(), kept.begin(), kept.end());
-      ++entries;
+    if (!per_shard[sh].empty()) {
+      survivors.push_back({sh, std::move(per_shard[sh])});
     }
   }
-  if (entries == 0) {
-    rebuilt.clear();  // nothing left: an empty log beats an empty frame
-  } else {
-    patch_u32(rebuilt, 8, entries);
-    const auto body =
-        std::span<const std::uint8_t>(rebuilt.data() + 8, rebuilt.size() - 8);
-    patch_u32(rebuilt, 0, static_cast<std::uint32_t>(body.size()));
-    patch_u32(rebuilt, 4, frame_checksum(body));
+  Buffer rebuilt;  // nothing left: an empty log beats an empty frame
+  if (!survivors.empty()) {
+    encode_group_frame(survivors, rebuilt);
   }
   replace_file_durably(commit_log_path(), rebuilt, "commit log");
   // The O_APPEND fd still points at the replaced inode; reopen the new one.
@@ -732,8 +597,7 @@ void FileBackend::gc_commit_log_locked() {
 }
 
 Buffer FileBackend::read_snapshot(std::size_t shard) const {
-  const Shard& s = *shards_.at(shard);
-  const std::lock_guard lock(s.mutex);
+  const std::lock_guard lock(snapshot_mutexes_.at(shard));
   return read_file(snapshot_path(shard));
 }
 
@@ -765,11 +629,8 @@ std::vector<std::string> FileBackend::meta_keys() const {
 }
 
 bool FileBackend::empty() const {
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  for (std::size_t s = 0; s < shard_count(); ++s) {
     std::error_code ec;
-    if (std::filesystem::file_size(journal_path(s), ec) > 0 && !ec) {
-      return false;
-    }
     if (std::filesystem::exists(snapshot_path(s), ec)) {
       return false;
     }

@@ -2,33 +2,30 @@
 //
 // A Backend is one "disk" holding, per shard, an append-only journal and
 // the most recent snapshot, plus a small named-metadata area (the reply-
-// cache floors of rpc::Service live there).  Two implementations:
+// cache floors of rpc::Service live there).  Journal bytes reach a volume
+// one way only: submit_append_group(), which the group-commit flusher
+// (storage/group_commit.hpp) calls once per flush cycle.  Two
+// implementations:
 //
-//   * MemoryBackend -- byte-for-byte the same layout in process memory.
-//     The crash/restart test harness runs on it: an append hook fires at
-//     every journal barrier (after the Nth append), and capture() deep-
-//     copies the whole volume under its locks -- exactly the disk image a
-//     machine losing power at that instant would leave behind.  Recovery
-//     from a captured image IS the simulated crash+restart.
-//   * FileBackend -- one directory on the real filesystem
-//     (shard-N.journal / shard-N.snap / meta-KEY / commit.log), journals
-//     appended through raw fds and fsync'd per append group
-//     (std::ofstream::flush() only reaches the page cache, not the
-//     platter), snapshots and metadata installed via write-temp + fsync +
-//     rename + directory fsync.  Group-committed appends
-//     (submit_append_group) land in commit.log as ONE checksummed frame
-//     per group -- one write(2), one fsync(2), regardless of how many
-//     shards the group touches -- and recovery merges commit-log records
-//     into each shard's journal by LSN.  This is the durable deployment
-//     shape and what bench_e14 measures.
+//   * MemoryBackend -- per-shard journal buffers in process memory.  The
+//     crash/restart test harness runs on it: an append hook fires at
+//     every journal barrier (after each append group), and capture()
+//     deep-copies the whole volume under its locks -- exactly the disk
+//     image a machine losing power at that instant would leave behind.
+//     Recovery from a captured image IS the simulated crash+restart.
+//   * FileBackend -- one directory on the real filesystem holding
+//     commit.log, shard-N.snap and meta-KEY.bin (docs/PROTOCOL.md §8.1).
+//     Each append group lands in commit.log as ONE checksummed frame --
+//     one write(2), one fsync(2), however many shards the group touches
+//     -- so a torn frame drops the whole group at recovery.  Snapshots
+//     and metadata are installed via write-temp + fsync + rename +
+//     directory fsync.  This is the durable deployment shape and what
+//     bench_e14 measures.
 //
-// Concurrency: every method is thread-safe.  Journals of different shards
-// never contend (per-shard locks), which is what lets journaling ride the
-// object store's per-shard mutexes without reintroducing a global lock on
-// the PR-1 hot path.  append_journal_batch() appends to several shards
-// ATOMICALLY with respect to capture(): a two-shard mutation (a bank
-// transfer's debit+credit) is either entirely on the captured image or not
-// at all, so a crash cannot tear money in half.
+// Concurrency: every method is thread-safe.  An append group is atomic
+// with respect to capture() and to recovery: a two-shard mutation (a bank
+// transfer's debit+credit) is either entirely on the image or not at all,
+// so a crash cannot tear money in half.
 #pragma once
 
 #include <atomic>
@@ -54,10 +51,10 @@ struct ShardAppend {
   Buffer bytes;
 };
 
-/// Completion of an async append group: invoked exactly once, with a null
+/// Completion of an append group: invoked exactly once, with a null
 /// exception_ptr on success or the failure that kept the group off the
-/// disk.  May run on the submitting thread (sync adapter) or on a backend
-/// reaper thread (io_uring) -- callers must not assume which.
+/// disk.  May run on the submitting thread (synchronous volumes) or on a
+/// backend reaper thread (io_uring) -- callers must not assume which.
 using AppendCompletion = std::function<void(std::exception_ptr)>;
 
 /// Counters an async backend exposes so callers can see the submission
@@ -88,27 +85,26 @@ class Backend {
   /// be sharded identically (object number -> shard mapping is layout).
   [[nodiscard]] virtual std::size_t shard_count() const = 0;
 
-  /// Appends one framed record to a shard's journal (durable on return).
-  virtual void append_journal(std::size_t shard,
-                              std::span<const std::uint8_t> bytes) = 0;
-
-  /// Appends to several shards' journals as one atomic group with respect
-  /// to capture()/recovery images (all appended or none on the image).
-  virtual void append_journal_batch(std::vector<ShardAppend>&& appends) = 0;
-
-  /// Submit/complete-shaped async append: appends the whole group with the
-  /// same capture() atomicity as append_journal_batch() and invokes
-  /// `complete` exactly once -- with a null exception_ptr when every byte
-  /// is durable, with the failure otherwise.  The base implementation is
-  /// the synchronous adapter (append, then complete inline on the calling
-  /// thread); UringFileBackend overrides it to submit to its ring and
-  /// complete from the reaping side, and the group-commit flusher
-  /// (storage/group_commit.hpp) is its only caller -- so such a backend
-  /// drops in without touching the object store.  Completions of
-  /// successive calls fire in submission order (the commit log is a
-  /// sequential structure; recovery depends on it having no gaps).
+  /// THE journal write: appends the whole group atomically with respect
+  /// to capture()/recovery images (all entries on the image or none) and
+  /// invokes `complete` exactly once -- with a null exception_ptr when
+  /// every byte is durable, with the failure otherwise.  Synchronous
+  /// volumes complete inline on the calling thread; UringFileBackend
+  /// completes from its reaping side.  The group-commit flusher is the
+  /// caller in every deployment, so an async backend drops in without
+  /// touching the object store.  Completions of successive calls fire in
+  /// submission order (the commit log is a sequential structure; recovery
+  /// depends on it having no gaps).
   virtual void submit_append_group(std::vector<ShardAppend>&& appends,
-                                   AppendCompletion complete);
+                                   AppendCompletion complete) = 0;
+
+  /// Blocking single-record and multi-record forms of submit_append_group:
+  /// submit, wait for the completion, rethrow a failure.  Defined once
+  /// here over submit_append_group; kept virtual only for decorators that
+  /// still override them.
+  virtual void append_journal(std::size_t shard,
+                              std::span<const std::uint8_t> bytes);
+  virtual void append_journal_batch(std::vector<ShardAppend>&& appends);
 
   /// Submission-pipeline counters; all-zero/sync for blocking backends.
   [[nodiscard]] virtual AsyncIoStats async_io_stats() const { return {}; }
@@ -116,9 +112,10 @@ class Backend {
   /// Whole-journal read (recovery).
   [[nodiscard]] virtual Buffer read_journal(std::size_t shard) const = 0;
 
-  /// Atomically replaces the shard's snapshot AND truncates its journal
-  /// (log compaction).  Replay-idempotent records make the file-backend
-  /// window between rename and truncate harmless.
+  /// Atomically replaces the shard's snapshot AND restarts its journal
+  /// (log compaction): read_journal() returns only appends made after
+  /// it.  Replay-idempotent records make the file-backend window between
+  /// the snapshot rename and the journal restart harmless.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
 
@@ -139,15 +136,21 @@ class Backend {
   [[nodiscard]] virtual bool empty() const = 0;
 };
 
+/// Submits one append group to `backend` and blocks until its completion
+/// reports (inline on a synchronous volume, from the reaper under
+/// io_uring); rethrows the failure.
+void append_group_durably(Backend& backend,
+                          std::vector<ShardAppend>&& appends);
+
 /// In-memory volume with crash-capture hooks (the test harness backend).
 class MemoryBackend final : public Backend {
  public:
   explicit MemoryBackend(std::size_t shards = 16);
 
   [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  /// Appends under every involved shard lock and completes inline.
+  void submit_append_group(std::vector<ShardAppend>&& appends,
+                           AppendCompletion complete) override;
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -199,23 +202,25 @@ class MemoryBackend final : public Backend {
 class FileBackend : public Backend {
  public:
   /// Creates the directory if needed; an existing volume must have been
-  /// written with the same shard count.
+  /// written with the same shard count.  Refuses (UsageError) a directory
+  /// holding a non-empty shard-N.journal: per-shard journals are an older
+  /// on-disk format this version does not read.
   FileBackend(std::filesystem::path directory, std::size_t shards = 16);
   ~FileBackend() override;
 
-  [[nodiscard]] std::size_t shard_count() const override { return shards_.size(); }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
-  /// Group commit: the whole group goes down as ONE checksummed frame in
-  /// the volume-wide commit.log -- one write, one fsync, however many
-  /// shards it spans.  Beyond amortizing the fsync (this is where the
-  /// flusher's batching actually reaches the platter), the single frame
-  /// gives a multi-shard group REAL on-disk atomicity: per-shard journal
-  /// files can always tear a pair between two files' fsyncs, a torn
-  /// commit-log frame drops the whole group at recovery.
+  [[nodiscard]] std::size_t shard_count() const override {
+    return snapshot_mutexes_.size();
+  }
+  /// The whole group goes down as ONE checksummed frame in commit.log --
+  /// one write, one fsync, however many shards it spans.  Beyond
+  /// amortizing the fsync (this is where the flusher's batching actually
+  /// reaches the platter), the single frame gives a multi-shard group
+  /// real on-disk atomicity: a torn frame drops the whole group at
+  /// recovery.  Completes inline.
   void submit_append_group(std::vector<ShardAppend>&& appends,
                            AppendCompletion complete) override;
+  /// The shard's entries of every intact commit.log frame, in append
+  /// order, starting after its latest snapshot's restart marker.
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
@@ -233,22 +238,24 @@ class FileBackend : public Backend {
  protected:
   /// Encodes `appends` as one complete commit-log group frame
   /// (`length u32 | checksum u32 | body`) into `frame` (cleared first).
-  /// Shared by the sync append below and the ring submission path.
+  /// Shared by the sync append and the ring submission path.
   static void encode_group_frame(const std::vector<ShardAppend>& appends,
                                  Buffer& frame);
 
   /// Called with commit_mutex_ held before any read of commit.log that
-  /// must observe every acknowledged frame (recovery merge, GC, empty())
-  /// and before gc_commit_log_locked() swaps commit_fd_ to a new inode.
-  /// The base backend writes synchronously, so there is never in-flight
-  /// I/O to wait out; UringFileBackend overrides this to drain its ring.
+  /// must observe every acknowledged frame (recovery, GC, empty()), before
+  /// a synchronous write lands behind in-flight ones (the snapshot restart
+  /// marker), and before gc_commit_log_locked() swaps commit_fd_ to a new
+  /// inode.  The base backend writes synchronously, so there is never
+  /// in-flight I/O to wait out; UringFileBackend overrides this to drain
+  /// its ring.
   /// Must NOT be called from a completion/reaper context (commit_mutex_
   /// ordering: reaper threads never take it).
   virtual void quiesce_commit_locked() const {}
 
-  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a shard
-  /// mutex (when held at all) is taken BEFORE commit_mutex_; the flusher
-  /// takes only commit_mutex_ and never touches the per-shard fds.
+  /// Commit-log state, all guarded by commit_mutex_.  Lock order: a
+  /// snapshot mutex (when held at all) is taken BEFORE commit_mutex_; the
+  /// flusher takes only commit_mutex_.
   /// Protected rather than private so UringFileBackend's submission path
   /// can append to the same log under the same lock.
   mutable std::mutex commit_mutex_;
@@ -259,12 +266,6 @@ class FileBackend : public Backend {
   [[nodiscard]] std::filesystem::path commit_log_path() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    int journal_fd = -1;  // O_APPEND; fsync'd per append group
-  };
-
-  [[nodiscard]] std::filesystem::path journal_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path snapshot_path(std::size_t shard) const;
   [[nodiscard]] std::filesystem::path meta_path(std::string_view key) const;
   /// write-temp + fsync + rename + directory fsync (the full atomic
@@ -273,20 +274,19 @@ class FileBackend : public Backend {
   void replace_file_durably(const std::filesystem::path& path,
                             std::span<const std::uint8_t> bytes,
                             const char* what);
-  /// Concatenated framed records for `shard` extracted from commit.log,
-  /// in append order (= ascending LSN per shard).  Caller holds
-  /// commit_mutex_.
-  [[nodiscard]] Buffer commit_log_records_locked(std::size_t shard) const;
-  /// Rewrites commit.log dropping every record a shard snapshot already
-  /// subsumes (lsn <= that shard's floor).  Caller holds commit_mutex_.
+  /// Writes and fsyncs one encoded frame at the end of commit.log.  Caller
+  /// holds commit_mutex_ with no ring I/O in flight.
+  void append_frame_locked(const Buffer& frame);
+  /// Rewrites commit.log keeping only each shard's entries after its
+  /// latest restart marker.  Caller holds commit_mutex_.
   void gc_commit_log_locked();
 
   std::filesystem::path directory_;
   int dir_fd_ = -1;  // fsync'd after every rename into the directory
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Per-shard: serializes snapshot replacement and reads.
+  mutable std::vector<std::mutex> snapshot_mutexes_;
   mutable std::mutex meta_mutex_;
   std::uint64_t commit_gc_low_ = 0;  // log size after the last GC rewrite
-  std::vector<std::uint64_t> commit_floor_;  // per-shard snapshot applied LSN
 };
 
 }  // namespace amoeba::storage

@@ -1,14 +1,13 @@
 // Group commit: one asynchronous flusher amortizing many journal appends
-// into one backend write per cycle.
+// into one backend write per cycle -- and the ONLY way journal bytes reach
+// a volume: every durable object store and every reply-floor persist runs
+// through a committer.
 //
-// PR 5 made every state change durable by appending (and, on FileBackend,
-// flushing) one record at a time on the mutator thread -- correct, but the
-// pure-mutate path paid a full backend round trip per record.  The classic
-// fix is group commit: mutators ENCODE their record under the shard lock,
-// ENQUEUE it here (receiving a monotonically increasing commit ticket),
-// RELEASE the lock, and block -- or carry the ticket as a future and keep
-// going -- until the flusher reports the ticket durable.  One flusher per
-// volume drains every shard's pending bytes and issues a single multi-shard
+// Mutators ENCODE their record under the shard lock, ENQUEUE it here
+// (receiving a monotonically increasing commit ticket), RELEASE the lock,
+// and block -- or carry the ticket as a future and keep going -- until the
+// flusher reports the ticket durable.  One flusher per volume drains every
+// shard's pending bytes and issues a single multi-shard
 // submit_append_group() per cycle: one gather write and one fsync cover
 // every record that piled up while the previous fsync was in flight, which
 // is the self-tuning property (load grows groups, idle volumes flush
@@ -20,9 +19,9 @@
 //     never reports a ticket whose bytes a crash image could lack.
 //   * enqueue_group() places all entries under one queue-mutex hold, so a
 //     flush cycle carries a multi-shard group entirely or not at all; the
-//     backend's append_journal_batch atomicity w.r.t. capture() then keeps
-//     a bank transfer's debit+credit untearable, exactly as in the
-//     synchronous path.
+//     backend lands each cycle as one atomic append group (one commit.log
+//     frame on a FileBackend), which keeps a bank transfer's debit+credit
+//     untearable across a crash.
 //   * Metadata (the rpc reply-cache image) rides the same cycles through
 //     enqueue_meta(), coalesced latest-image-wins per key, and is written
 //     BEFORE the cycle's journal appends -- a crash image may hold a

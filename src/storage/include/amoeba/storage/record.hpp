@@ -95,10 +95,4 @@ struct SnapshotSlot {
                                    std::vector<SnapshotSlot>& out,
                                    std::uint64_t& applied_lsn);
 
-/// Header-only read of a snapshot image's applied LSN (0 for an empty or
-/// malformed image).  The file backend uses this as its commit-log GC
-/// floor without paying for a full slot decode.
-[[nodiscard]] std::uint64_t peek_snapshot_lsn(
-    std::span<const std::uint8_t> bytes);
-
 }  // namespace amoeba::storage

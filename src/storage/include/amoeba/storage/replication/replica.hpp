@@ -2,8 +2,10 @@
 //
 // A ReplicaApplier owns a local volume and applies the primary's shipments
 // to it in shipment order: cycle frames append the primary's journal
-// records (and metadata images) byte for byte, snapshot shipments replace
-// one shard's snapshot exactly as local compaction would.  The volume a
+// records (and metadata images) byte for byte -- each cycle's records as
+// ONE local append group, so the backup's volume holds a shipped cycle
+// whole or not at all -- and snapshot shipments replace one shard's
+// snapshot exactly as local compaction would.  The volume a
 // long-running applier maintains is therefore the same volume the primary
 // would leave behind on its own disk -- secrets, reply-cache floors and
 // all -- which is the whole failover story: promote the backup, construct
@@ -58,7 +60,7 @@ class ReplicaApplier {
       std::span<const std::uint8_t> frame);
 
   /// Applies one shipped shard snapshot (replaces the shard's snapshot and
-  /// truncates its journal, like local compaction) and adopts `rep_lsn` as
+  /// restarts its journal, like local compaction) and adopts `rep_lsn` as
   /// the floor.  Same duplicate/promoted answers as apply_cycle.
   [[nodiscard]] Result<std::uint64_t> install_snapshot(
       std::uint64_t rep_lsn, std::size_t shard,

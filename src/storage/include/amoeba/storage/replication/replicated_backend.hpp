@@ -2,21 +2,17 @@
 //
 // ReplicatedBackend is a Backend decorator: reads go straight to the
 // wrapped local volume, writes land locally FIRST and are then shipped to
-// every attached backup as LSN-stamped shipments.  Which writes ship as
-// what depends on how the volume is driven:
+// every attached backup as LSN-stamped shipments.  Two kinds ship:
 //
-//   * Under a GroupCommitter (the normal server arrangement) the committer
-//     binds itself at construction and the post-flush hook ships each
-//     flush cycle as ONE cycle frame -- the exact metadata images and
-//     journal bytes that just hit the local disk.  The decorator's own
-//     append/put_meta paths then stand down (forward-only), so a cycle is
-//     never shipped twice.
-//   * Driven directly (no committer -- the synchronous-durability
-//     arrangement), each append/batch/meta write ships as its own
-//     mini-cycle.  Per-shard ordering is preserved because the store holds
-//     the shard lock across the local write and the enqueue.
-//   * install_snapshot (compaction) always ships, under either
-//     arrangement: backups compact when the primary does.
+//   * Flush cycles.  The volume's GroupCommitter binds itself at
+//     construction and its post-flush hook ships each cycle as ONE cycle
+//     frame -- the exact metadata images and journal bytes that just hit
+//     the local disk.  The decorator's own append/put_meta paths only
+//     forward (the committer's flusher is their one caller), and throw
+//     UsageError before a committer is bound: a write that bypassed the
+//     committer would never reach the backups.
+//   * Snapshots.  install_snapshot (compaction) ships on its own: backups
+//     compact when the primary does.
 //
 // The ack mode decides when a mutator's durability wait releases:
 //   async    local disk only; shipping is fire-and-forget.
@@ -100,9 +96,8 @@ class ReplicatedBackend final : public Backend {
 
   // --- Backend: reads forward, writes land locally then ship. ---
   [[nodiscard]] std::size_t shard_count() const override;
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override;
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override;
+  /// Forwards the bound committer's flush-cycle append to the local
+  /// volume (the cycle ships from the post-flush hook).
   void submit_append_group(std::vector<ShardAppend>&& appends,
                            AppendCompletion complete) override;
   /// Forwards the local volume's ring counters (zero/sync for blocking
@@ -130,9 +125,9 @@ class ReplicatedBackend final : public Backend {
   void attach_peer(std::shared_ptr<ReplicationLink> link);
 
   /// Called by the GroupCommitter constructor when it finds this decorator
-  /// as its backend: installs the cycle-shipping post-flush hook and
-  /// switches the append/meta paths to forward-only.  Throws UsageError on
-  /// a second bind (one committer per volume).
+  /// as its backend: installs the cycle-shipping post-flush hook and opens
+  /// the append/meta paths.  Throws UsageError on a second bind (one
+  /// committer per volume).
   void bind_committer(GroupCommitter& committer);
 
   struct PeerStats {
@@ -183,9 +178,8 @@ class ReplicatedBackend final : public Backend {
   /// UsageError if a backup answered `immutable` (it was promoted: this
   /// primary is fenced and must stop reporting durability).
   void await_acks(const std::shared_ptr<Shipment>& shipment);
-  /// Encodes + broadcasts one direct-path mini-cycle, then waits.
-  void ship_mini_cycle(std::span<const MetaImage> metas,
-                       std::span<const ShardAppend> appends);
+  /// Throws UsageError until a committer is bound.
+  void require_bound() const;
   /// Ships one committer flush cycle (the post-flush hook body).
   void ship_group_cycle(
       const std::map<std::string, Buffer, std::less<>>& metas,
@@ -197,10 +191,9 @@ class ReplicatedBackend final : public Backend {
 
   std::shared_ptr<Backend> local_;
   const AckMode mode_;
-  /// True once a GroupCommitter bound itself: append/meta traffic then
-  /// arrives via the flusher and ships through the hook, so the direct
-  /// paths forward without shipping.  Set before the flusher starts.
-  std::atomic<bool> committer_bound_{false};
+  /// Set once by bind_committer, before the committer's flusher -- the
+  /// only writer -- starts.
+  std::atomic<bool> bound_{false};
 
   mutable std::mutex mutex_;  // orders LSN assignment + queue pushes
   std::uint64_t next_lsn_ = 0;

@@ -18,17 +18,17 @@
 //
 // Ordering: IOSQE_IO_DRAIN on each chain's writev serializes chains, so
 // frame N+1 can never land on disk before frame N -- recovery's torn-tail
-// rule and the LSN merge both assume the log has no holes.  On any chain
+// rule assumes the log has no holes.  On any chain
 // failure the reaper waits for every in-flight chain to finish, truncates
 // commit.log back to the FIRST failed chain's start offset (removing any
 // later frame that landed past the gap), and fails every outstanding
 // completion in order; the committer latches and nothing was ever
 // acknowledged optimistically.
 //
-// Everything else -- recovery merge, snapshots, GC, metadata, the
-// per-shard sync journals -- is inherited from FileBackend; the
+// Everything else -- recovery reads, snapshots and their restart markers,
+// GC, metadata -- is inherited from FileBackend; the
 // quiesce_commit_locked() override drains the ring before any of those
-// paths read or replace commit.log.
+// paths read, append to, or replace commit.log.
 //
 // No liburing: raw io_uring_setup/io_uring_enter syscalls and hand-mmapped
 // rings keep the build dependency-light, and the runtime probe

@@ -162,15 +162,4 @@ bool decode_snapshot(std::span<const std::uint8_t> bytes,
   return r.exhausted();
 }
 
-std::uint64_t peek_snapshot_lsn(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  const std::uint32_t magic = r.u32();
-  const std::uint16_t version = r.u16();
-  const std::uint64_t applied_lsn = r.u64();
-  if (!r.ok() || magic != kSnapshotMagic || version != kSnapshotVersion) {
-    return 0;
-  }
-  return applied_lsn;
-}
-
 }  // namespace amoeba::storage

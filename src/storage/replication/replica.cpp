@@ -48,7 +48,10 @@ Result<std::uint64_t> ReplicaApplier::apply_cycle(
     local_->put_meta(key, value);
   }
   if (!cycle.appends.empty()) {
-    local_->append_journal_batch(std::move(cycle.appends));
+    // One local append group per shipped cycle: on a FileBackend backup
+    // that is one commit.log frame, so a crash mid-apply loses the whole
+    // cycle and never tears a multi-shard group.
+    append_group_durably(*local_, std::move(cycle.appends));
   }
   applied_ = cycle.rep_lsn;
   persist_floor_locked();

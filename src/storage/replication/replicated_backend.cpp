@@ -77,57 +77,33 @@ std::vector<std::string> ReplicatedBackend::meta_keys() const {
 
 bool ReplicatedBackend::empty() const { return local_->empty(); }
 
-void ReplicatedBackend::append_journal(std::size_t shard,
-                                       std::span<const std::uint8_t> bytes) {
-  local_->append_journal(shard, bytes);
-  // Relaxed everywhere committer_bound_ is read: it flips false->true once,
-  // before the committer's flusher starts, so every thread that can reach
-  // these paths already observes the final value through the committer's
-  // own synchronization -- the load needs no ordering of its own.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    return;  // this write reaches backups inside its flush cycle's frame
+void ReplicatedBackend::require_bound() const {
+  // Relaxed: bound_ flips false->true once, before the committer's flusher
+  // (the only legitimate writer) starts, so that thread already observes
+  // it through the committer's own synchronization.
+  if (!bound_.load(std::memory_order_relaxed)) {
+    throw UsageError(
+        "ReplicatedBackend: journal and metadata writes go through the "
+        "volume's GroupCommitter (none is bound)");
   }
-  // Direct (synchronous-durability) path: ship a mini-cycle.  The store
-  // holds the shard lock across this call, so per-shard shipment order
-  // matches local journal order.
-  const ShardAppend append{shard, Buffer(bytes.begin(), bytes.end())};
-  ship_mini_cycle({}, std::span(&append, 1));
-}
-
-void ReplicatedBackend::append_journal_batch(
-    std::vector<ShardAppend>&& appends) {
-  // Relaxed: see append_journal.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    local_->append_journal_batch(std::move(appends));
-    return;
-  }
-  std::vector<ShardAppend> to_ship = appends;  // local write consumes them
-  local_->append_journal_batch(std::move(appends));
-  ship_mini_cycle({}, to_ship);
 }
 
 void ReplicatedBackend::submit_append_group(std::vector<ShardAppend>&& appends,
                                             AppendCompletion complete) {
-  // Relaxed: see append_journal.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    // Committer traffic: the forwarded completion fires on the local
-    // volume's reaping side (CQE of the linked fdatasync under io_uring);
-    // the committer's ordered drain then runs the ship hook strictly
-    // after it, in LSN order -- §8.5's acknowledgement rule.
-    local_->submit_append_group(std::move(appends), std::move(complete));
-    return;
-  }
-  std::vector<ShardAppend> to_ship = appends;
+  require_bound();
+  // The forwarded completion fires on the local volume's reaping side (CQE
+  // of the linked fdatasync under io_uring); the committer's ordered drain
+  // then runs the ship hook strictly after it, in LSN order -- §8.5's
+  // acknowledgement rule.
   local_->submit_append_group(std::move(appends), std::move(complete));
-  ship_mini_cycle({}, to_ship);
 }
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
                                          std::span<const std::uint8_t> bytes) {
   local_->install_snapshot(shard, bytes);
-  // Compaction ships under either arrangement (it never rides the
-  // committer), and never waits for acks: replacing a snapshot is not
-  // client-visible durability, so async shipping costs nothing.
+  // Compaction ships on its own (it never rides the committer), and never
+  // waits for acks: replacing a snapshot is not client-visible
+  // durability, so async shipping costs nothing.
   const std::lock_guard lock(mutex_);
   if (peers_.empty()) {
     return;
@@ -138,28 +114,19 @@ void ReplicatedBackend::install_snapshot(std::size_t shard,
 
 void ReplicatedBackend::put_meta(std::string_view key,
                                  std::span<const std::uint8_t> value) {
-  local_->put_meta(key, value);
-  // Relaxed: see append_journal.
-  if (committer_bound_.load(std::memory_order_relaxed)) {
-    return;  // coalesced metadata ships inside the flush-cycle frame
-  }
-  if (key.starts_with(kRepMetaPrefix)) {
-    return;  // replication-internal keys never leave the volume
-  }
-  const MetaImage meta{key, value};
-  ship_mini_cycle(std::span(&meta, 1), {});
+  require_bound();
+  local_->put_meta(key, value);  // ships inside the flush-cycle frame
 }
 
 void ReplicatedBackend::bind_committer(GroupCommitter& committer) {
   {
-    // Relaxed store/load under mutex_: the mutex orders the bind itself;
-    // the flag's cross-thread visibility rides the committer's flusher
-    // start (see the relaxed-read comment at append_journal).
+    // The mutex orders the bind itself; see require_bound for the flag's
+    // cross-thread visibility.
     const std::lock_guard lock(mutex_);
-    if (committer_bound_.load(std::memory_order_relaxed)) {
+    if (bound_.load(std::memory_order_relaxed)) {
       throw UsageError("ReplicatedBackend: already bound to a committer");
     }
-    committer_bound_.store(true, std::memory_order_relaxed);
+    bound_.store(true, std::memory_order_relaxed);
   }
   committer.set_post_flush_hook(
       [this](const GroupCommitter::FlushCycle& cycle) {
@@ -268,21 +235,6 @@ void ReplicatedBackend::await_acks(
   }
   // Shutting down: the only waiters left are the destructor's own caller
   // (teardown), so an unmet ack count is reported as nothing.
-}
-
-void ReplicatedBackend::ship_mini_cycle(std::span<const MetaImage> metas,
-                                        std::span<const ShardAppend> appends) {
-  std::shared_ptr<Shipment> shipment;
-  {
-    const std::lock_guard lock(mutex_);
-    if (peers_.empty()) {
-      return;
-    }
-    const std::uint64_t lsn = ++next_lsn_;
-    shipment = broadcast_locked(lsn, false, 0,
-                                encode_cycle_frame(lsn, metas, appends));
-  }
-  await_acks(shipment);
 }
 
 void ReplicatedBackend::ship_group_cycle(

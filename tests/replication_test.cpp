@@ -6,7 +6,10 @@
 // or double-apply an LSN) and the deposed-primary fence.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -434,32 +437,39 @@ TEST_F(ReplicationSuite, PromotedBackupFencesTheDeposedPrimary) {
   EXPECT_FALSE(fenced.ok());
 }
 
-TEST_F(ReplicationSuite, DirectPathShipsMiniCyclesWithoutACommitter) {
-  // No committer, no server: drive the decorator's own Backend interface
-  // (the synchronous-durability arrangement).
-  auto direct = rpc::replicate_to(
+TEST_F(ReplicationSuite, CommitterCyclesShipButRepKeysStayAndSnapshotsRestart) {
+  // Drive the decorator through a bare committer (no server).  Its writes
+  // have one legal source: before a committer binds, they are refused --
+  // a write that bypassed the committer would never ship.
+  auto primary = rpc::replicate_to(
       local_, storage::AckMode::ack_one, bank_machine_, 31,
       {{"backup", replica_->volume_capability()}});
   const Buffer record = {0x01, 0x02, 0x03};
-  direct->append_journal(2, record);
   const Buffer floor_image = {0x09};
-  direct->put_meta("reply-floors", floor_image);
+  EXPECT_THROW(primary->append_journal(2, record), UsageError);
+  EXPECT_THROW(primary->put_meta("reply-floors", floor_image), UsageError);
+
+  storage::GroupCommitter committer(primary);
+  (void)committer.enqueue(2, record);
+  (void)committer.enqueue_meta("reply-floors", floor_image);
+  // rep.-prefixed keys are volume-private: written locally, never shipped.
+  (void)committer.enqueue_meta("rep.private", floor_image);
   std::vector<storage::ShardAppend> group;
   group.push_back({0, record});
   group.push_back({1, record});
-  direct->append_journal_batch(std::move(group));
-  // rep.-prefixed keys are volume-private: never shipped.
-  direct->put_meta("rep.private", floor_image);
-  // ack_one: every call above waited for the backup's durable apply.
+  // ack_one: the wait covers every earlier ticket and released only once
+  // the backup had durably applied their cycles.
+  committer.wait_durable(committer.enqueue_group(std::move(group)));
   EXPECT_EQ(backup_backend_->read_journal(2), record);
   EXPECT_EQ(backup_backend_->read_journal(0), record);
   EXPECT_EQ(backup_backend_->read_journal(1), record);
   EXPECT_EQ(backup_backend_->get_meta("reply-floors"), floor_image);
+  EXPECT_EQ(local_->get_meta("rep.private"), floor_image);
   EXPECT_TRUE(backup_backend_->get_meta("rep.private").empty());
   // Compaction ships too (async): the backup compacts when the primary
   // does.
   const Buffer image = {0x42, 0x42};
-  direct->install_snapshot(2, image);
+  primary->install_snapshot(2, image);
   for (int i = 0; i < 1000 && backup_backend_->read_snapshot(2) != image;
        ++i) {
     std::this_thread::sleep_for(2ms);
@@ -467,6 +477,87 @@ TEST_F(ReplicationSuite, DirectPathShipsMiniCyclesWithoutACommitter) {
   EXPECT_EQ(backup_backend_->read_snapshot(2), image);
   EXPECT_TRUE(backup_backend_->read_journal(2).empty())
       << "snapshot install must truncate the shipped journal too";
+}
+
+TEST_F(ReplicationSuite, BackupCommitLogCutAnywherePromotesWithoutATornTransfer) {
+  // A FileBackend backup takes ack-one transfers; then a crash image is
+  // made at EVERY byte offset of its commit.log past the setup, promoted,
+  // and a bank recovered from it.  Each shipped cycle lands as one
+  // commit.log frame, so every image holds a whole prefix of transfers:
+  // money is conserved and no transfer is half applied.
+  constexpr std::int64_t kMint = 1'000'000;
+  constexpr std::int64_t kAmount = 7;
+  constexpr int kTransfers = 8;
+  const auto root = std::filesystem::temp_directory_path() /
+                    ("amoeba-backup-cut-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const auto volume = root / "backup";
+  const auto log = volume / "commit.log";
+  std::uintmax_t setup_end = 0;
+  {
+    net::Machine& file_machine = net_.add_machine("file-backup");
+    rpc::ReplicaServer file_replica(file_machine, Port(0x7B03), scheme(), 12,
+                                    std::make_shared<storage::FileBackend>(
+                                        volume, 16));
+    file_replica.start(2);
+    replicated_ = rpc::replicate_to(
+        local_, storage::AckMode::ack_one, bank_machine_, 41,
+        {{"file-backup", file_replica.volume_capability()}});
+    bank_ = std::make_unique<BankServer>(bank_machine_, Port(0xBA22),
+                                         scheme(), 1, replicated_);
+    bank_->start(2);
+    transport_ = std::make_unique<rpc::Transport>(client_machine_, seed_++);
+    client_ = std::make_unique<BankClient>(*transport_, bank_->put_port());
+    alice_ = client_->create_account().value();
+    bob_ = client_->create_account().value();
+    ASSERT_TRUE(client_
+                    ->mint(bank_->master_capability(), alice_,
+                           currency::kDollar, kMint)
+                    .ok());
+    // ack_one: the mint's cycle is on the backup's disk already.
+    setup_end = std::filesystem::file_size(log);
+    for (int i = 0; i < kTransfers; ++i) {
+      ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, kAmount)
+                      .ok())
+          << "transfer " << i;
+    }
+    quiesce_primary();
+    ASSERT_TRUE(wait_synced());
+    replicated_.reset();
+    file_replica.stop();
+  }
+  const std::uintmax_t full = std::filesystem::file_size(log);
+  ASSERT_GT(full, setup_end) << "the backup wrote no commit.log frames";
+
+  net::Machine& recovery_machine = net_.add_machine("promoted");
+  rpc::Transport probe(client_machine_, seed_++);
+  const auto image = root / "image";
+  std::int64_t last_bob = 0;
+  for (std::uintmax_t cut = setup_end; cut <= full; ++cut) {
+    SCOPED_TRACE("commit.log cut at " + std::to_string(cut));
+    std::filesystem::remove_all(image);
+    std::filesystem::copy(volume, image);
+    std::filesystem::resize_file(image / "commit.log", cut);
+    auto copy = std::make_shared<storage::FileBackend>(image, 16);
+    storage::ReplicaApplier(copy).promote();
+    BankServer bank(recovery_machine, Port(0xBA22), scheme(), 99, copy);
+    bank.start(1);
+    probe.flush_cache();
+    BankClient client(probe, bank.put_port());
+    const auto alice = client.balance(alice_, currency::kDollar);
+    const auto bob = client.balance(bob_, currency::kDollar);
+    bank.stop();
+    ASSERT_TRUE(alice.ok());
+    ASSERT_TRUE(bob.ok());
+    EXPECT_EQ(alice.value() + bob.value(), kMint) << "money not conserved";
+    EXPECT_EQ(bob.value() % kAmount, 0) << "a transfer was half applied";
+    EXPECT_GE(bob.value(), last_bob) << "a longer log recovered less";
+    last_bob = bob.value();
+  }
+  // The uncut log holds every acknowledged transfer (the sweep was not
+  // vacuous).
+  EXPECT_EQ(last_bob, kTransfers * kAmount);
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(ReplicationSuite, AttachPeerRacesPromotionUnderFlushStorm) {

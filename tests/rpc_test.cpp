@@ -11,6 +11,8 @@
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
+#include "amoeba/storage/backend.hpp"
+#include "amoeba/storage/group_commit.hpp"
 
 namespace amoeba::rpc {
 namespace {
@@ -272,6 +274,19 @@ TEST(ServiceTest, RebindWhileRunningThrows) {
   EchoService service(a, Port(0x100B), "echo");
   service.start();
   EXPECT_THROW(service.rebind(b), UsageError);
+}
+
+TEST(ServiceTest, DurabilityNeedsTheVolumesCommitter) {
+  // Reply floors persist through the group committer only: a volume
+  // without one is a usage error, no volume at all is an in-memory
+  // service.
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  EchoService service(sm, Port(0x100C), "echo");
+  auto volume = std::make_shared<storage::MemoryBackend>(4);
+  EXPECT_THROW(service.attach_durability(volume, nullptr), UsageError);
+  service.attach_durability(nullptr, nullptr);
+  service.attach_durability(volume, storage::GroupCommitter::create(volume));
 }
 
 TEST(ServiceTest, SignatureVerificationAdmitsOnlyTrueOwner) {

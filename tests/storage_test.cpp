@@ -300,26 +300,59 @@ TEST_P(CommitLogBackends, GroupedAppendsRecoverAcrossReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(CommitLogBackends, SyncAndGroupedAppendsMergeByLsn) {
-  const auto dir = fresh_dir("commit-merge");
-  auto backend = make(dir, 2);
-  // Wall-time order: sync lsn 1, grouped lsn 2, sync lsn 3.  The grouped
-  // record lives in commit.log, the sync ones in shard-0.journal; recovery
-  // must splice them back into LSN order.
-  backend->append_journal(0, frame(1, 1));
-  std::vector<ShardAppend> group;
-  group.push_back({0, frame(2, 2)});
-  submit_group_sync(*backend, std::move(group));
-  backend->append_journal(0, frame(3, 3));
-  bool torn = true;
-  const auto records = decode_journal(backend->read_journal(0), &torn);
-  EXPECT_FALSE(torn);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].lsn, 1u);
-  EXPECT_EQ(records[1].lsn, 2u);
-  EXPECT_EQ(records[2].lsn, 3u);
-  EXPECT_EQ(records[1].object.value(), 2u);
-  backend.reset();
+TEST_P(CommitLogBackends, NonEmptyPerShardJournalIsRefused) {
+  // Per-shard journal files are the pre-commit-log on-disk format.  A
+  // volume still holding records in one must not open: recovery would
+  // silently skip them.
+  const auto dir = fresh_dir("legacy-journal");
+  std::filesystem::create_directories(dir);
+  {
+    const Buffer record = frame(1, 1);
+    std::ofstream out(dir / "shard-3.journal", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(record.data()),
+              static_cast<std::streamsize>(record.size()));
+  }
+  try {
+    (void)make(dir, 4);
+    ADD_FAILURE() << "opened a volume holding a non-empty shard-3.journal";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("shard-3.journal"),
+              std::string::npos)
+        << e.what();
+  }
+  // The refused volume was left as it was.
+  EXPECT_FALSE(std::filesystem::exists(dir / "commit.log"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(CommitLogBackends, EmptyPerShardJournalsAreIgnored) {
+  // What the old format left on a volume whose every append went through
+  // group commit: zero-length shard-N.journal files beside commit.log.
+  const auto dir = fresh_dir("legacy-empty");
+  {
+    auto backend = make(dir, 4);
+    GroupCommitter committer(backend);
+    (void)committer.enqueue(0, frame(10, 1));
+    (void)committer.enqueue(3, frame(30, 1));
+    committer.wait_durable(committer.enqueue(0, frame(11, 2)));
+  }
+  for (std::size_t s = 0; s < 4; ++s) {
+    std::ofstream(dir / ("shard-" + std::to_string(s) + ".journal"));
+  }
+  {
+    auto backend = make(dir, 4);
+    EXPECT_FALSE(backend->empty());
+    bool torn = true;
+    const auto shard0 = decode_journal(backend->read_journal(0), &torn);
+    EXPECT_FALSE(torn);
+    ASSERT_EQ(shard0.size(), 2u);
+    EXPECT_EQ(shard0[0].object.value(), 10u);
+    EXPECT_EQ(shard0[1].object.value(), 11u);
+    const auto shard3 = decode_journal(backend->read_journal(3), &torn);
+    ASSERT_EQ(shard3.size(), 1u);
+    EXPECT_EQ(shard3[0].object.value(), 30u);
+    EXPECT_TRUE(backend->read_journal(1).empty());
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -428,6 +461,32 @@ TEST_P(CommitLogBackends, EveryTruncationAndBitFlipDropsExactlyTheTornGroup) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_P(CommitLogBackends, SnapshotRestartsOnlyItsOwnShardsJournal) {
+  // A snapshot install restarts its shard's journal (the Backend contract
+  // MemoryBackend keeps by clearing a buffer): the commit log records a
+  // restart marker, and later appends form the new journal.
+  const auto dir = fresh_dir("commit-restart");
+  {
+    auto backend = make(dir, 2);
+    std::vector<ShardAppend> first;
+    first.push_back({0, frame(1, 1)});
+    first.push_back({1, frame(2, 1)});
+    submit_group_sync(*backend, std::move(first));
+    backend->install_snapshot(0, encode_snapshot({}, 1));
+    std::vector<ShardAppend> second;
+    second.push_back({0, frame(3, 2)});
+    submit_group_sync(*backend, std::move(second));
+  }
+  FileBackend reopened(dir, 2);
+  const auto shard0 = decode_journal(reopened.read_journal(0));
+  ASSERT_EQ(shard0.size(), 1u);
+  EXPECT_EQ(shard0[0].object.value(), 3u);
+  const auto shard1 = decode_journal(reopened.read_journal(1));
+  ASSERT_EQ(shard1.size(), 1u);
+  EXPECT_EQ(shard1[0].object.value(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_P(CommitLogBackends, SnapshotGcRewritesAwaySubsumedRecords) {
   const auto dir = fresh_dir("commit-gc");
   const auto log = dir / "commit.log";
@@ -495,7 +554,7 @@ TEST(GroupCommitTest, WaitCoversEveryEarlierTicket) {
 }
 
 TEST(GroupCommitTest, GroupsNeverTearAcrossCaptureImages) {
-  // Every flush cycle lands through append_journal_batch, so the memory
+  // Every flush cycle lands as one submit_append_group, so the memory
   // backend's barrier hook sees whole cycles -- and a cycle never splits
   // an enqueue_group.  Capture at every barrier: each image must hold
   // matched halves of every two-shard group (the bank-transfer shape).
@@ -566,13 +625,6 @@ class ExplodingBackend final : public Backend {
 
   [[nodiscard]] std::size_t shard_count() const override {
     return inner_.shard_count();
-  }
-  void append_journal(std::size_t shard,
-                      std::span<const std::uint8_t> bytes) override {
-    inner_.append_journal(shard, bytes);
-  }
-  void append_journal_batch(std::vector<ShardAppend>&& appends) override {
-    inner_.append_journal_batch(std::move(appends));
   }
   // Throws SYNCHRONOUSLY instead of reporting through the completion:
   // the committer must latch either way.
@@ -813,9 +865,12 @@ namespace {
 
 constexpr Port kPort{0x5A5A5A5A5A5AULL};
 
+/// A durable int store's codecs plus the volume's group committer (the
+/// one journal write path).
 [[nodiscard]] Durability<int> int_codec(
     std::shared_ptr<storage::Backend> backend, std::size_t compact_after = 0) {
   Durability<int> d;
+  d.committer = storage::GroupCommitter::create(backend);
   d.backend = std::move(backend);
   d.encode = [](Writer& w, const int& v) {
     w.u32(static_cast<std::uint32_t>(v));
@@ -998,6 +1053,15 @@ TEST(DurableStore, MismatchedShardCountIsRejected) {
                UsageError);
 }
 
+TEST(DurableStore, BackendWithoutCommitterIsRejected) {
+  // The committer is the only journal write path: a durable store
+  // without one has no way to reach its volume.
+  Durability<int> d = int_codec(std::make_shared<storage::MemoryBackend>(16));
+  d.committer = nullptr;
+  EXPECT_THROW(ObjectStore<int>(scheme(), kPort, 1, 16, std::move(d)),
+               UsageError);
+}
+
 TEST(DurableStore, FileBackendRoundTrip) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("amoeba-durable-store-" + std::to_string(::getpid()));
@@ -1025,7 +1089,6 @@ TEST(DurableStore, FileBackendRoundTrip) {
     const std::shared_ptr<storage::Backend>& backend,
     bool with_delta = false, std::size_t compact_after = 0) {
   Durability<int> d = int_codec(backend, compact_after);
-  d.committer = storage::GroupCommitter::create(backend);
   if (with_delta) {
     // Patch format: one u32 increment (replayed exactly once per record:
     // recovery is LSN-gated, so non-idempotent patches are still safe).
