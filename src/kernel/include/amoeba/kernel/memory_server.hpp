@@ -84,11 +84,11 @@ struct ProcessInfoReply {
 inline constexpr rpc::Op<CreateSegmentRequest, rpc::CapabilityReply>
     kCreateSegment{0x0601, "mem.create_segment", rpc::kFactoryOp};
 inline constexpr rpc::Op<ReadSegmentRequest, rpc::BytesReply> kReadSegment{
-    0x0602, "mem.read_segment", core::rights::kRead};
+    0x0602, "mem.read_segment", core::rights::kRead, rpc::kReadOnly};
 inline constexpr rpc::Op<WriteSegmentRequest, rpc::Empty> kWriteSegment{
     0x0603, "mem.write_segment", core::rights::kWrite};
 inline constexpr rpc::Op<rpc::Empty, SegmentInfoReply> kSegmentInfo{
-    0x0604, "mem.segment_info", core::rights::kRead};
+    0x0604, "mem.segment_info", core::rights::kRead, rpc::kReadOnly};
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kDeleteSegment{
     0x0605, "mem.delete_segment", core::rights::kDestroy};
 // MAKE PROCESS consumes segment capabilities from the data field; each
@@ -101,7 +101,7 @@ inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kStartProcess{
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kStopProcess{
     0x0608, "mem.stop_process", core::rights::kWrite};
 inline constexpr rpc::Op<rpc::Empty, ProcessInfoReply> kProcessInfo{
-    0x0609, "mem.process_info", core::rights::kRead};
+    0x0609, "mem.process_info", core::rights::kRead, rpc::kReadOnly};
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kDeleteProcess{
     0x060A, "mem.delete_process", core::rights::kDestroy};
 

@@ -318,6 +318,15 @@ concept WireBody = requires { typename T::Wire; };
 struct FactoryTag {};
 inline constexpr FactoryTag kFactoryOp{};
 
+/// Tag for operations with no effect: the handler journals nothing, marks
+/// nothing dirty, mints and destroys nothing, and every nested call it
+/// makes is itself read-only.  Re-running such an op after a crash cannot
+/// be told apart from answering its duplicate, so the service persists
+/// neither a reply-cache floor nor a reply body for it
+/// (docs/PROTOCOL.md §8.4).
+struct ReadOnlyTag {};
+inline constexpr ReadOnlyTag kReadOnly{};
+
 /// One declared operation: opcode, diagnostic name, the rights the header
 /// capability must grant (validated by the dispatch layer before the
 /// handler runs), and -- for operations that consume further capabilities
@@ -334,7 +343,8 @@ struct Op {
   const char* name = "";
   Rights required = Rights::none();     // header capability must grant these
   Rights data_rights = Rights::none();  // demanded of data-field capabilities
-  bool object = true;  // false: factory op, no header capability
+  bool object = true;      // false: factory op, no header capability
+  bool read_only = false;  // true: no effect (kReadOnly)
 
   constexpr Op(std::uint16_t opcode_, const char* name_, Rights required_,
                Rights data_rights_ = Rights::none())
@@ -343,12 +353,20 @@ struct Op {
         required(required_),
         data_rights(data_rights_) {}
 
+  constexpr Op(std::uint16_t opcode_, const char* name_, Rights required_,
+               ReadOnlyTag)
+      : opcode(opcode_), name(name_), required(required_), read_only(true) {}
+
   constexpr Op(std::uint16_t opcode_, const char* name_, FactoryTag,
                Rights data_rights_ = Rights::none())
       : opcode(opcode_),
         name(name_),
         data_rights(data_rights_),
         object(false) {}
+
+  constexpr Op(std::uint16_t opcode_, const char* name_, FactoryTag,
+               ReadOnlyTag)
+      : opcode(opcode_), name(name_), object(false), read_only(true) {}
 };
 
 }  // namespace amoeba::rpc

@@ -41,18 +41,23 @@
 //
 // Restart semantics (docs/PROTOCOL.md §8): attach_durability() persists
 // each client's suppression FLOOR -- the highest sequence number ever
-// claimed -- to the storage backend's metadata area before the claimed
-// request executes, and restores the floors on construction.  After a
-// crash+restart, a duplicate of any pre-crash transaction is therefore
-// DROPPED (at most once survives the crash: an operation may be lost to
-// the torn tail, but can never run twice).  A bounded window of recent
-// reply BODIES per client rides the same metadata image (persisted best
-// effort after each reply completes), so a post-restart duplicate of a
-// recently COMPLETED transaction is re-answered from the restored cache
-// instead of timing out at the client.  Floor persists are enqueued on
-// the volume's group-commit flush cycles (the claim blocks -- outside the
-// table locks -- until its floor's cycle is durable) rather than each
-// paying a private fsync.
+// claimed by an op with effects -- to the storage backend's metadata area
+// before the claimed request executes, and restores the floors on
+// construction.  After a crash+restart, a duplicate of any pre-crash
+// transaction is therefore DROPPED (at most once survives the crash: an
+// operation may be lost to the torn tail, but can never run twice).  A
+// bounded window of recent reply BODIES per client rides the same
+// metadata image (persisted best effort after each reply completes), so a
+// post-restart duplicate of a recently COMPLETED transaction is
+// re-answered from the restored cache instead of timing out at the
+// client.  Floor persists are enqueued on the volume's group-commit flush
+// cycles (the claim blocks -- outside the table locks -- until its
+// floor's cycle is durable) rather than each paying a private fsync.
+// Ops declared read-only (rpc::kReadOnly) persist neither floor nor body:
+// re-running one after a restart is indistinguishable from answering its
+// duplicate, so their claims stay in memory and the persisted window
+// holds only replies of ops with effects.  Untyped handlers and batch
+// envelopes always persist.
 #pragma once
 
 #include <array>
@@ -88,6 +93,7 @@ struct OpInfo {
   Rights required;            // rights the header capability must grant
   Rights data_rights;         // rights demanded of data-field capabilities
   bool object = true;         // false: factory op, no header capability
+  bool read_only = false;     // true: no effect, nothing persisted (§8.4)
 };
 
 class Service {
@@ -184,10 +190,10 @@ class Service {
   /// per-client suppression floors (and any persisted reply bodies) the
   /// previous incarnation left in the backend's metadata area, and
   /// persists updated floors before every freshly claimed at-most-once
-  /// request executes -- the ordering that guarantees a post-restart
-  /// duplicate of an executed transfer is dropped, never re-run.  Null
-  /// backend: no-op.  Call once, from the server constructor, before
-  /// start().
+  /// request executes (read-only ops excepted) -- the ordering that
+  /// guarantees a post-restart duplicate of an executed transfer is
+  /// dropped, never re-run.  Null backend: no-op.  Call once, from the
+  /// server constructor, before start().
   ///
   /// Persists go through `committer`, the volume's group-commit flusher
   /// (required with a backend; UsageError otherwise): each floor write is
@@ -375,16 +381,18 @@ class Service {
   void evict_reply_cache_client(const ClientKey& excluded,
                                 bool want_tombstones);
   /// Publishes the reply of a claimed request and evicts beyond the
-  /// per-client window.
-  void store_reply(const net::Delivery& request, const net::Message& reply);
+  /// per-client window; `persist_body` also adds it to the persisted
+  /// image (false for read-only ops).
+  void store_reply(const net::Delivery& request, const net::Message& reply,
+                   bool persist_body);
   /// Advances the claiming client's persisted floor and enqueues the image
   /// on the committer, if attached (called for every freshly claimed
-  /// at-most-once request BEFORE its handler runs -- write-ahead for the
-  /// suppression state).  Update, encode, and enqueue happen under one
-  /// mutex: persists are totally ordered and each contains all rows of
-  /// every earlier one.  The durability wait happens AFTER the mutex
-  /// drops, so concurrent claims pile their floors into the same flush
-  /// cycle.
+  /// at-most-once request that is not read-only, BEFORE its handler runs
+  /// -- write-ahead for the suppression state).  Update, encode, and
+  /// enqueue happen under one mutex: persists are totally ordered and each
+  /// contains all rows of every earlier one.  The durability wait happens
+  /// AFTER the mutex drops, so concurrent claims pile their floors into
+  /// the same flush cycle.
   void persist_reply_floor(const ClientKey& key, std::uint64_t seq);
   /// Adds one completed reply body to the client's persisted window and
   /// re-persists the image, best effort and WITHOUT waiting: the floor --
@@ -396,7 +404,7 @@ class Service {
   /// Renders the suppression-state image; caller holds reply_floor_mutex_.
   [[nodiscard]] Buffer encode_reply_floors_locked() const;
 
-  // ---- per-op metrics internals ---------------------------------------
+  // ---- per-op state internals -----------------------------------------
 
   struct OpMetrics {
     std::atomic<std::uint64_t> calls{0};
@@ -404,6 +412,15 @@ class Service {
     std::atomic<std::uint64_t> total_us{0};
     std::atomic<std::uint64_t> max_us{0};
   };
+  /// What the request path needs of one typed op: whether its fresh
+  /// claims skip the durable persists, and its metrics.
+  struct OpState {
+    bool read_only = false;
+    OpMetrics metrics;
+  };
+  /// The typed op registered under `opcode`, or null (untyped handlers and
+  /// batch envelopes).  Lock-free: the map is frozen at start().
+  [[nodiscard]] OpState* op_state(std::uint16_t opcode) const;
 
   net::Machine* machine_;
   Port get_port_;
@@ -445,9 +462,9 @@ class Service {
   std::atomic<bool> reply_committer_set_{false};
   std::unordered_map<std::uint16_t, Handler> handlers_;  // frozen at start()
   std::vector<OpInfo> typed_ops_;                        // frozen at start()
-  // Typed-op metrics keyed by opcode; the map is frozen at start() (the
+  // Typed-op state keyed by opcode; the map is frozen at start() (the
   // counters inside stay hot), so dispatch reads it without a lock.
-  std::unordered_map<std::uint16_t, std::unique_ptr<OpMetrics>> op_metrics_;
+  std::unordered_map<std::uint16_t, std::unique_ptr<OpState>> op_states_;
 
   // Sharded reply cache.  Stripe locks are never held across a handler
   // (claim before, store after) nor across another stripe's lock; the

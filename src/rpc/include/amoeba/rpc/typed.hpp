@@ -156,7 +156,8 @@ void Service::on(const OpT& op, F handler) {
        Call<OpT> call{request, op, {}, std::move(*body)};
        return detail::encode_reply<OpT>(request, handler(call));
      });
-  note_op({op.opcode, op.name, op.required, op.data_rights, op.object});
+  note_op({op.opcode, op.name, op.required, op.data_rights, op.object,
+           op.read_only});
 }
 
 template <typename OpT, typename Store, typename F>
@@ -213,7 +214,8 @@ void Service::on(const OpT& op, Store& store, F handler) {
          return detail::encode_reply<OpT>(request, handler(call));
        }
      });
-  note_op({op.opcode, op.name, op.required, op.data_rights, op.object});
+  note_op({op.opcode, op.name, op.required, op.data_rights, op.object,
+           op.read_only});
 }
 
 // ---------------------------------------------------------------------
@@ -421,8 +423,8 @@ inline constexpr Op<Empty, CapabilityReply> kStdRevoke{
 
 /// Human-readable description of the object behind a capability; with the
 /// detail flag, also the service's per-op latency/error counters.
-inline constexpr Op<StdInfoRequest, StdInfoReply> kStdInfo{0xF2, "std.info",
-                                                           Rights::none()};
+inline constexpr Op<StdInfoRequest, StdInfoReply> kStdInfo{
+    0xF2, "std.info", Rights::none(), kReadOnly};
 
 /// Validates the capability and does nothing else -- the liveness ping a
 /// garbage collector would use to keep an object from aging out.

@@ -129,19 +129,26 @@ void Service::on(std::uint16_t opcode, Handler handler) {
 }
 
 void Service::note_op(OpInfo info) {
-  op_metrics_.emplace(info.opcode, std::make_unique<OpMetrics>());
+  auto state = std::make_unique<OpState>();
+  state->read_only = info.read_only;
+  op_states_.emplace(info.opcode, std::move(state));
   typed_ops_.push_back(std::move(info));
+}
+
+Service::OpState* Service::op_state(std::uint16_t opcode) const {
+  const auto it = op_states_.find(opcode);
+  return it != op_states_.end() ? it->second.get() : nullptr;
 }
 
 std::vector<Service::OpMetricsSnapshot> Service::op_metrics() const {
   std::vector<OpMetricsSnapshot> out;
   out.reserve(typed_ops_.size());
   for (const OpInfo& op : typed_ops_) {
-    const auto it = op_metrics_.find(op.opcode);
-    if (it == op_metrics_.end()) {
+    const OpState* state = op_state(op.opcode);
+    if (state == nullptr) {
       continue;
     }
-    const OpMetrics& m = *it->second;
+    const OpMetrics& m = state->metrics;
     out.push_back({op.name, m.calls.load(std::memory_order_relaxed),
                    m.errors.load(std::memory_order_relaxed),
                    m.total_us.load(std::memory_order_relaxed),
@@ -317,7 +324,7 @@ Service::DupVerdict Service::claim_request(const net::Delivery& request,
 }
 
 void Service::store_reply(const net::Delivery& request,
-                          const net::Message& reply) {
+                          const net::Message& reply, bool persist_body) {
   const ClientKey key{request.src.value(), request.message.header.client};
   const std::uint64_t seq = request.message.header.seq;
   bool published = false;
@@ -350,7 +357,7 @@ void Service::store_reply(const net::Delivery& request,
       ++stripe.counters.evicted_entries;
     }
   }
-  if (published) {
+  if (published && persist_body) {
     // Outside the stripe lock: the persisted image has its own mutex and
     // the two are never held together.
     persist_reply_body(key, seq, reply);
@@ -568,11 +575,8 @@ net::Message Service::handle(const net::Delivery& request) {
 net::Message Service::handle_one(const net::Delivery& request) {
   // Per-op metrics: the map is frozen at start(), so the lookup is
   // lock-free; only typed ops (registered through note_op) are timed.
-  OpMetrics* metrics = nullptr;
-  if (const auto it = op_metrics_.find(request.message.header.opcode);
-      it != op_metrics_.end()) {
-    metrics = it->second.get();
-  }
+  OpState* const state = op_state(request.message.header.opcode);
+  OpMetrics* const metrics = state != nullptr ? &state->metrics : nullptr;
   const auto started = metrics != nullptr
                            ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point{};
@@ -682,6 +686,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
     net::Message reply;
     bool executed = true;      // false: duplicate answered from the cache
     bool cache_reply = false;  // true: claimed fresh, publish after handling
+    bool persist = false;      // true: the claim's floor and body persist
     if (!allowed_signatures.empty() &&
         std::find(allowed_signatures.begin(), allowed_signatures.end(),
                   delivery->message.header.signature) ==
@@ -713,8 +718,16 @@ void Service::run(std::stop_token stop, std::latch& ready) {
           case DupVerdict::resend:
             executed = false;  // cached reply already copied into `reply`
             break;
-          case DupVerdict::fresh:
+          case DupVerdict::fresh: {
             cache_reply = true;
+            // A read-only op has no effect to guard: re-running it after a
+            // restart is indistinguishable from answering its duplicate,
+            // so its claim stays in memory (§8.4).
+            const OpState* state = op_state(delivery->message.header.opcode);
+            persist = state == nullptr || !state->read_only;
+            if (!persist) {
+              break;
+            }
             // Write-ahead for the suppression state: the claimed seq is
             // durable (as a floor) BEFORE the handler can journal any
             // effect, so a crash can lose this operation but a restarted
@@ -734,6 +747,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
               cache_reply = false;
             }
             break;
+          }
         }
       }
       if (executed) {
@@ -743,7 +757,7 @@ void Service::run(std::stop_token stop, std::latch& ready) {
         if (cache_reply) {
           // Cached in pre-dest, pre-filter form; a re-send recomputes the
           // destination from the duplicate and re-seals per transmission.
-          store_reply(*delivery, reply);
+          store_reply(*delivery, reply, persist);
         }
       }
     }

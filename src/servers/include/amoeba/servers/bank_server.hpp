@@ -90,7 +90,7 @@ using TransferOp = rpc::Op<TransferRequest, rpc::Empty>;
 inline constexpr rpc::Op<rpc::Empty, rpc::CapabilityReply> kCreateAccount{
     0x0501, "bank.create_account", rpc::kFactoryOp};
 inline constexpr rpc::Op<BalanceRequest, BalanceReply> kBalance{
-    0x0502, "bank.balance", core::rights::kRead};
+    0x0502, "bank.balance", core::rights::kRead, rpc::kReadOnly};
 inline constexpr TransferOp kTransfer{
     0x0503, "bank.transfer", bank_rights::kWithdraw, bank_rights::kDeposit};
 inline constexpr rpc::Op<ConvertRequest, ConvertReply> kConvert{

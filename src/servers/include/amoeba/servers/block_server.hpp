@@ -37,13 +37,14 @@ struct InfoReply {
 inline constexpr rpc::Op<rpc::Empty, rpc::CapabilityReply> kAllocate{
     0x0101, "block.allocate", rpc::kFactoryOp};
 inline constexpr rpc::Op<rpc::Empty, rpc::BytesReply> kRead{
-    0x0102, "block.read", core::rights::kRead};
+    0x0102, "block.read", core::rights::kRead, rpc::kReadOnly};
 inline constexpr rpc::Op<rpc::BytesRequest, rpc::Empty> kWrite{
     0x0103, "block.write", core::rights::kWrite};
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kFree{
     0x0104, "block.free", core::rights::kDestroy};
 inline constexpr rpc::Op<rpc::Empty, InfoReply> kInfo{
-    0x0105, "block.info", rpc::kFactoryOp};  // geometry + free space
+    0x0105, "block.info", rpc::kFactoryOp,
+    rpc::kReadOnly};  // geometry + free space
 
 }  // namespace block_ops
 

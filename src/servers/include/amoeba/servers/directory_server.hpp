@@ -69,12 +69,14 @@ using ListOp = rpc::Op<rpc::Empty, ListReply>;
 
 inline constexpr rpc::Op<rpc::Empty, rpc::CapabilityReply> kCreateDir{
     0x0301, "dir.create", rpc::kFactoryOp};
-inline constexpr LookupOp kLookup{0x0302, "dir.lookup", core::rights::kRead};
+inline constexpr LookupOp kLookup{0x0302, "dir.lookup", core::rights::kRead,
+                                   rpc::kReadOnly};
 inline constexpr rpc::Op<EnterRequest, rpc::Empty> kEnter{
     0x0303, "dir.enter", core::rights::kWrite};
 inline constexpr rpc::Op<NameRequest, rpc::Empty> kRemove{
     0x0304, "dir.remove", core::rights::kWrite};
-inline constexpr ListOp kList{0x0305, "dir.list", core::rights::kRead};
+inline constexpr ListOp kList{0x0305, "dir.list", core::rights::kRead,
+                               rpc::kReadOnly};
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kDeleteDir{
     0x0306, "dir.delete", core::rights::kDestroy};
 

@@ -66,10 +66,12 @@ inline constexpr rpc::Op<CreateRequest, rpc::CapabilityReply> kCreate{
     0x0201, "file.create", rpc::kFactoryOp};
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kDestroy{
     0x0202, "file.destroy", core::rights::kDestroy};
-inline constexpr ReadOp kRead{0x0203, "file.read", core::rights::kRead};
+inline constexpr ReadOp kRead{0x0203, "file.read", core::rights::kRead,
+                               rpc::kReadOnly};
 inline constexpr rpc::Op<WriteRequest, rpc::Empty> kWrite{
     0x0204, "file.write", core::rights::kWrite};
-inline constexpr SizeOp kSize{0x0205, "file.size", core::rights::kRead};
+inline constexpr SizeOp kSize{0x0205, "file.size", core::rights::kRead,
+                               rpc::kReadOnly};
 // Restriction/revocation/info/touch use the std_* suite (rpc/typed.hpp).
 
 }  // namespace file_ops

@@ -68,7 +68,7 @@ inline constexpr rpc::Op<rpc::Empty, rpc::CapabilityReply> kCreateFile{
 inline constexpr rpc::Op<rpc::Empty, rpc::CapabilityReply> kNewVersion{
     0x0402, "mv.new_version", core::rights::kWrite};  // file cap -> draft cap
 inline constexpr rpc::Op<ReadPageRequest, rpc::BytesReply> kReadPage{
-    0x0403, "mv.read_page", core::rights::kRead};
+    0x0403, "mv.read_page", core::rights::kRead, rpc::kReadOnly};
 inline constexpr rpc::Op<WritePageRequest, rpc::Empty> kWritePage{
     0x0404, "mv.write_page", core::rights::kWrite};  // draft cap
 inline constexpr rpc::Op<rpc::Empty, CommitReply> kCommit{
@@ -76,7 +76,7 @@ inline constexpr rpc::Op<rpc::Empty, CommitReply> kCommit{
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kAbort{
     0x0406, "mv.abort", core::rights::kWrite};  // draft cap
 inline constexpr rpc::Op<rpc::Empty, HistoryReply> kHistory{
-    0x0407, "mv.history", core::rights::kRead};  // file cap
+    0x0407, "mv.history", core::rights::kRead, rpc::kReadOnly};  // file cap
 inline constexpr rpc::Op<rpc::Empty, rpc::Empty> kDestroyFile{
     0x0408, "mv.destroy_file", core::rights::kDestroy};
 

@@ -128,6 +128,19 @@ class BankCrashSuite : public ::testing::Test {
     return request;
   }
 
+  /// Hand-stamped at-most-once balance read of bob's dollars, same
+  /// client identity as transfer_frame.
+  [[nodiscard]] net::Message balance_frame(std::uint64_t seq,
+                                           Port reply_port) const {
+    net::Message request = rpc::make_request(
+        bank_->put_port(), bank_ops::kBalance, bob_, {currency::kDollar});
+    request.header.flags |= net::kFlagAtMostOnce;
+    request.header.client = kClient;
+    request.header.seq = seq;
+    request.header.reply = reply_port;
+    return request;
+  }
+
   [[nodiscard]] std::int64_t dollars(const core::Capability& account) {
     return client_->balance(account, currency::kDollar).value();
   }
@@ -259,11 +272,12 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
   EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
 
   // The destroy's reply body is persisted best effort (enqueued, not
-  // awaited).  A subsequent at-most-once claim persists ITS floor with a
-  // durability wait, and the metadata image is coalesced latest-wins, so
-  // after this balance call the body-carrying image is durably on the
-  // volume -- the capture below is deterministic.
-  ASSERT_TRUE(client_->balance(alice_, currency::kDollar).ok());
+  // awaited).  A subsequent claim of an op with effects persists ITS floor
+  // with a durability wait, and the metadata image is coalesced
+  // latest-wins, so after this create the body-carrying image is durably
+  // on the volume -- the capture below is deterministic.  (A balance call
+  // would not do: read-only ops persist nothing.)
+  ASSERT_TRUE(client_->create_account().ok());
 
   // Crash now; restart from the image.
   const auto image = backend_->capture();
@@ -285,6 +299,71 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
   EXPECT_EQ(bank_->requests_served(), served_before);
   // A genuinely fresh destroy is an error, not a second hook run.
   EXPECT_FALSE(rpc::std_destroy(*transport_, doomed).ok());
+  shutdown();
+}
+
+TEST_F(BankCrashSuite, ReadsNeitherEvictTheTransferBodyNorReplayStale) {
+  boot(backend_);
+  alice_ = client_->create_account().value();
+  bob_ = client_->create_account().value();
+  ASSERT_TRUE(client_
+                  ->mint(bank_->master_capability(), alice_,
+                         currency::kDollar, kMint)
+                  .ok());
+
+  // One transfer, then 8 balance reads, all from the same client: as
+  // many reads as the persisted body window holds.
+  const Port reply_get(0x4747);
+  net::Receiver replies = client_machine_.listen(reply_get);
+  ASSERT_TRUE(client_machine_.transmit(transfer_frame(1, reply_get),
+                                       bank_machine_.id()));
+  const auto transferred = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(transferred.has_value());
+  ASSERT_EQ(transferred->message.header.status, ErrorCode::ok);
+  constexpr std::uint64_t kLastRead = 9;
+  for (std::uint64_t seq = 2; seq <= kLastRead; ++seq) {
+    ASSERT_TRUE(client_machine_.transmit(balance_frame(seq, reply_get),
+                                         bank_machine_.id()));
+    const auto read = replies.receive({}, 2'000ms);
+    ASSERT_TRUE(read.has_value()) << "read " << seq;
+    EXPECT_EQ(static_cast<std::int64_t>(read->message.header.params[0]),
+              kAmount);
+  }
+  // The transfer's body is persisted best effort; a later claim of an op
+  // with effects (another client's) waits for a cycle carrying the whole
+  // image, so the capture below holds whatever the window kept.
+  ASSERT_TRUE(client_->create_account().ok());
+
+  const auto image = backend_->capture();
+  shutdown();
+  boot(image);
+  // Money moves after the restart, so a re-executed read can be told
+  // from one answered out of a cache.
+  ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, kAmount).ok());
+
+  // The transfer's duplicate is re-answered from its persisted body: the
+  // reads did not push it out of the window, and it does not run again.
+  const auto served_before = bank_->requests_served();
+  ASSERT_TRUE(client_machine_.transmit(transfer_frame(1, reply_get),
+                                       bank_machine_.id()));
+  const auto dup_transfer = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(dup_transfer.has_value())
+      << "post-restart duplicate of the transfer was dropped, not "
+         "re-answered from its persisted body";
+  EXPECT_EQ(dup_transfer->message.header.status, ErrorCode::ok);
+  EXPECT_EQ(bank_->requests_served(), served_before);
+
+  // A duplicate of a pre-crash read is answered with the current balance.
+  ASSERT_TRUE(client_machine_.transmit(balance_frame(kLastRead, reply_get),
+                                       bank_machine_.id()));
+  const auto dup_read = replies.receive({}, 2'000ms);
+  ASSERT_TRUE(dup_read.has_value());
+  ASSERT_EQ(dup_read->message.header.status, ErrorCode::ok);
+  EXPECT_EQ(static_cast<std::int64_t>(dup_read->message.header.params[0]),
+            2 * kAmount);
+
+  EXPECT_EQ(dollars(bob_), 2 * kAmount);
+  EXPECT_EQ(total_money(), kMint);
   shutdown();
 }
 

@@ -1,9 +1,11 @@
 // docs/PROTOCOL.md must not drift from the code: every opcode table row in
 // the spec is checked, field for field, against the live descriptor
 // registry (Service::registered_ops()) of every server, in both
-// directions.  CI runs this test as the docs job; on mismatch it prints
-// the table block the spec should contain, so regenerating the doc is a
-// copy-paste.
+// directions -- including the read-only marker, so which ops skip the
+// durable reply-cache persists (PROTOCOL.md §8.4) has one source of truth,
+// the rpc::Op declaration.  CI runs this test as the docs job; on mismatch
+// it prints the table block the spec should contain, so regenerating the
+// doc is a copy-paste.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,19 +36,29 @@ constexpr const char* kProtocolPath = AMOEBA_REPO_ROOT "/docs/PROTOCOL.md";
 
 /// One parsed (or generated) opcode-table row, in the doc's column format:
 /// | opcode | name | required rights | data rights | kind |
+/// where kind is `object` or `factory`, suffixed `, read-only` for ops
+/// declared with rpc::kReadOnly.
 struct Row {
   std::uint16_t opcode = 0;
   std::string name;
   std::uint8_t required = 0;
   std::uint8_t data_rights = 0;
   bool object = true;
+  bool read_only = false;
+
+  [[nodiscard]] std::string kind() const {
+    std::string text = object ? "object" : "factory";
+    if (read_only) {
+      text += ", read-only";
+    }
+    return text;
+  }
 
   [[nodiscard]] std::string render() const {
     char buffer[128];
     std::snprintf(buffer, sizeof(buffer),
                   "| 0x%04X | `%s` | 0x%02X | 0x%02X | %s |", opcode,
-                  name.c_str(), required, data_rights,
-                  object ? "object" : "factory");
+                  name.c_str(), required, data_rights, kind().c_str());
     return buffer;
   }
 
@@ -81,8 +93,17 @@ std::vector<Row> parse_spec(const std::string& path) {
     if (!cells.empty() && cells.back().empty()) {
       cells.pop_back();
     }
-    if (cells.size() != 5 || (cells[4] != "object" && cells[4] != "factory")) {
+    if (cells.size() != 5) {
       continue;  // an 0x-leading row of some other table shape
+    }
+    std::string kind = cells[4];
+    const std::string read_only_suffix = ", read-only";
+    const bool read_only = kind.ends_with(read_only_suffix);
+    if (read_only) {
+      kind.resize(kind.size() - read_only_suffix.size());
+    }
+    if (kind != "object" && kind != "factory") {
+      continue;
     }
     Row row;
     row.opcode =
@@ -92,7 +113,8 @@ std::vector<Row> parse_spec(const std::string& path) {
         static_cast<std::uint8_t>(std::stoul(cells[2], nullptr, 16));
     row.data_rights =
         static_cast<std::uint8_t>(std::stoul(cells[3], nullptr, 16));
-    row.object = cells[4] == "object";
+    row.object = kind == "object";
+    row.read_only = read_only;
     rows.push_back(std::move(row));
   }
   return rows;
@@ -125,8 +147,8 @@ std::map<std::uint16_t, Row> live_registry() {
   std::map<std::uint16_t, Row> registry;
   for (const rpc::Service* service : services) {
     for (const rpc::OpInfo& op : service->registered_ops()) {
-      const Row row{op.opcode, op.name, op.required.bits(),
-                    op.data_rights.bits(), op.object};
+      const Row row{op.opcode,          op.name,   op.required.bits(),
+                    op.data_rights.bits(), op.object, op.read_only};
       const auto [it, inserted] = registry.emplace(op.opcode, row);
       EXPECT_EQ(it->second, row)
           << "opcode 0x" << std::hex << op.opcode

@@ -274,6 +274,21 @@ class ReplicationSuite : public ::testing::Test {
     bank_.reset();
   }
 
+  /// Waits until nothing has shipped for 100 ms and returns the shipped
+  /// LSN.  A reply's best-effort body rides a flush cycle of its own
+  /// after the reply, and a read-only call persists nothing, so no client
+  /// call waits that cycle out.
+  [[nodiscard]] std::uint64_t settled_lsn() {
+    std::uint64_t last = replicated_->stats().shipped_lsn;
+    for (int quiet_polls = 0; quiet_polls < 10;) {
+      std::this_thread::sleep_for(10ms);
+      const std::uint64_t now = replicated_->stats().shipped_lsn;
+      quiet_polls = now == last ? quiet_polls + 1 : 0;
+      last = now;
+    }
+    return last;
+  }
+
   /// Polls until every queued shipment is acked (async-mode catch-up).
   [[nodiscard]] bool wait_synced() {
     for (int i = 0; i < 2000; ++i) {
@@ -355,6 +370,21 @@ TEST_F(ReplicationSuite, AckOneShipsEveryFlushCycleToTheBackup) {
   EXPECT_GT(replica_->applier().applied(), 0u);
 }
 
+TEST_F(ReplicationSuite, AckOneReadsShipNothingWhileTransfersShip) {
+  boot(storage::AckMode::ack_one);
+  workload(3);
+  const std::uint64_t before = settled_lsn();
+  // bank.balance is read-only: neither a floor nor a body reaches the
+  // volume, so no flush cycle is cut and nothing ships.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(client_->balance(bob_, currency::kDollar).value(), 3 * 7);
+  }
+  EXPECT_EQ(settled_lsn(), before);
+  // A transfer still ships before its reply (ack_one).
+  ASSERT_TRUE(client_->transfer(alice_, bob_, currency::kDollar, 7).ok());
+  EXPECT_GT(replicated_->stats().shipped_lsn, before);
+}
+
 TEST_F(ReplicationSuite, AsyncModeCatchesUpAndConverges) {
   boot(storage::AckMode::async);
   workload(25);
@@ -387,6 +417,7 @@ TEST_F(ReplicationSuite, LinkFaultsNeverTearAGroupOrDoubleApply) {
 TEST_F(ReplicationSuite, StdInfoReportsRolesAndLag) {
   boot(storage::AckMode::ack_one);
   workload(5);
+  (void)settled_lsn();  // std.info is read-only: it waits for no cycle
   ASSERT_TRUE(wait_synced());
   const auto primary_info =
       rpc::std_info(*transport_, bank_->master_capability(), true);

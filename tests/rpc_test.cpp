@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
+#include "amoeba/rpc/typed.hpp"
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 
@@ -287,6 +289,120 @@ TEST(ServiceTest, DurabilityNeedsTheVolumesCommitter) {
   EXPECT_THROW(service.attach_durability(volume, nullptr), UsageError);
   service.attach_durability(nullptr, nullptr);
   service.attach_durability(volume, storage::GroupCommitter::create(volume));
+}
+
+/// A service serving only what on() registers.
+class TableService final : public Service {
+ public:
+  using Service::Service;
+  ~TableService() override { stop(); }
+};
+
+/// One client's row of the durable reply-cache image (PROTOCOL.md §8.4)
+/// as it stands on `volume`; zeros when the volume holds none.
+struct PersistedRow {
+  std::uint64_t floor = 0;
+  std::uint32_t bodies = 0;
+  friend bool operator==(const PersistedRow&, const PersistedRow&) = default;
+};
+PersistedRow persisted_row(const storage::Backend& volume,
+                           std::uint64_t client) {
+  const Buffer image = volume.get_meta("reply-floors");
+  if (image.empty()) {
+    return {};
+  }
+  Reader r(image);
+  (void)r.u32();  // magic
+  const std::uint32_t rows = r.u32();
+  for (std::uint32_t i = 0; i < rows && r.ok(); ++i) {
+    (void)r.u32();  // source machine
+    const std::uint64_t id = r.u64();
+    const PersistedRow row{r.u64(), r.u32()};
+    for (std::uint32_t b = 0; b < row.bodies && r.ok(); ++b) {
+      (void)r.u64();
+      (void)r.bytes();
+    }
+    if (id == client) {
+      return row;
+    }
+  }
+  return {};
+}
+
+TEST(ServiceTest, ReadOnlyOpsPersistNothingAndMutationsPersistTheirFloorFirst) {
+  // On one durable service: a mutation's floor is on the volume before its
+  // handler runs, and its body follows; an op declared read-only persists
+  // neither; an untyped handler, and a batch envelope even of read-only
+  // sub-requests, persist exactly like a mutation.
+  constexpr Op<Empty, Empty> kPeek{0x21, "test.peek", kFactoryOp, kReadOnly};
+  constexpr Op<Empty, Empty> kPoke{0x22, "test.poke", kFactoryOp};
+  constexpr std::uint16_t kUntyped = 0x23;
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  net::Machine& cm = net.add_machine("client");
+  const auto volume = std::make_shared<storage::MemoryBackend>(4);
+  const auto committer = storage::GroupCommitter::create(volume);
+  TableService service(sm, Port(0x100E), "table");
+  service.attach_durability(volume, committer);
+  Transport transport(cm, 1);
+
+  std::mutex mutex;
+  std::vector<PersistedRow> seen;  // the volume's row as each handler ran
+  const auto record = [&] {
+    const PersistedRow row = persisted_row(*volume, transport.client_id());
+    const std::lock_guard lock(mutex);
+    seen.push_back(row);
+  };
+  service.on(kPeek, [&](const auto&) -> Result<void> {
+    record();
+    return {};
+  });
+  service.on(kPoke, [&](const auto&) -> Result<void> {
+    record();
+    return {};
+  });
+  service.on(kUntyped, [&](const net::Delivery& delivery) {
+    record();
+    return net::make_reply(delivery.message, ErrorCode::ok);
+  });
+  service.start();
+  // Calls one op (seqs run 1, 2, ...), then drains the committer: a reply
+  // body is enqueued before the reply is sent, so afterwards the volume
+  // holds everything the call persisted.
+  const auto call = [&](std::uint16_t opcode) {
+    net::Message request;
+    request.header.dest = service.put_port();
+    request.header.opcode = opcode;
+    const auto reply = transport.trans(std::move(request));
+    EXPECT_TRUE(reply.ok() &&
+                reply.value().message.header.status == ErrorCode::ok)
+        << "opcode " << opcode;
+    committer->drain();
+    return persisted_row(*volume, transport.client_id());
+  };
+
+  EXPECT_EQ(call(kPeek.opcode), PersistedRow{});          // seq 1
+  EXPECT_TRUE(volume->get_meta("reply-floors").empty());
+  EXPECT_EQ(call(kPoke.opcode), (PersistedRow{2, 1}));    // seq 2
+  EXPECT_EQ(call(kPeek.opcode), (PersistedRow{2, 1}));    // seq 3
+  EXPECT_EQ(call(kUntyped), (PersistedRow{4, 2}));        // seq 4
+  TypedBatch batch(transport, service.put_port());        // seq 5
+  const auto peek = batch.add(kPeek);
+  const auto replies = batch.run();
+  ASSERT_TRUE(replies.ok());
+  EXPECT_TRUE(replies.value().get(peek).ok());
+  committer->drain();
+  EXPECT_EQ(persisted_row(*volume, transport.client_id()),
+            (PersistedRow{5, 3}));
+
+  const std::lock_guard lock(mutex);
+  ASSERT_EQ(seen.size(), 5u);
+  EXPECT_EQ(seen[0], PersistedRow{});
+  // Write-ahead: the floor was durable before the handler ran.
+  EXPECT_EQ(seen[1], (PersistedRow{2, 0}));
+  EXPECT_EQ(seen[2], (PersistedRow{2, 1}));
+  EXPECT_EQ(seen[3], (PersistedRow{4, 1}));
+  EXPECT_EQ(seen[4], (PersistedRow{5, 2}));
 }
 
 TEST(ServiceTest, SignatureVerificationAdmitsOnlyTrueOwner) {

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "amoeba/common/rng.hpp"
@@ -22,6 +26,7 @@
 #include "amoeba/servers/directory_server.hpp"
 #include "amoeba/servers/flat_file_server.hpp"
 #include "amoeba/servers/multiversion_server.hpp"
+#include "amoeba/storage/backend.hpp"
 
 namespace amoeba {
 namespace {
@@ -275,6 +280,262 @@ TEST_F(TypedOpsSuite, TypedBatchMixesOpsInOneFrame) {
   ASSERT_TRUE(info.ok()) << to_string(info.error());
   EXPECT_NE(info.value().description.find("bank"), std::string::npos);
   EXPECT_TRUE(replies.value().get(touch_entry).ok());
+}
+
+// ---------------------------------------------------------------------
+// Read-only audit: every op declared rpc::kReadOnly, on every durable
+// server, is called with a valid capability and must leave the volume
+// untouched -- no journal append group, no metadata write (the reply-cache
+// floor and body included), no snapshot.  Driven by registered_ops(): a
+// new read-only declaration without a call below fails the audit.
+
+/// Backend decorator counting the three volume writes; everything else is
+/// forwarded to the wrapped MemoryBackend.
+class CountingBackend final : public storage::Backend {
+ public:
+  struct Counts {
+    std::uint64_t append_groups = 0;
+    std::uint64_t meta_puts = 0;
+    std::uint64_t snapshots = 0;
+    friend bool operator==(const Counts&, const Counts&) = default;
+  };
+
+  CountingBackend() : inner_(std::make_shared<storage::MemoryBackend>(16)) {}
+
+  [[nodiscard]] Counts counts() const {
+    return {append_groups_.load(), meta_puts_.load(), snapshots_.load()};
+  }
+
+  [[nodiscard]] std::size_t shard_count() const override {
+    return inner_->shard_count();
+  }
+  void submit_append_group(std::vector<storage::ShardAppend>&& appends,
+                           storage::AppendCompletion complete) override {
+    ++append_groups_;
+    inner_->submit_append_group(std::move(appends), std::move(complete));
+  }
+  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
+    return inner_->read_journal(shard);
+  }
+  void install_snapshot(std::size_t shard,
+                        std::span<const std::uint8_t> bytes) override {
+    ++snapshots_;
+    inner_->install_snapshot(shard, bytes);
+  }
+  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
+    return inner_->read_snapshot(shard);
+  }
+  void put_meta(std::string_view key,
+                std::span<const std::uint8_t> value) override {
+    ++meta_puts_;
+    inner_->put_meta(key, value);
+  }
+  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
+    return inner_->get_meta(key);
+  }
+  [[nodiscard]] std::vector<std::string> meta_keys() const override {
+    return inner_->meta_keys();
+  }
+  [[nodiscard]] bool empty() const override { return inner_->empty(); }
+
+ private:
+  std::shared_ptr<storage::MemoryBackend> inner_;
+  std::atomic<std::uint64_t> append_groups_{0};
+  std::atomic<std::uint64_t> meta_puts_{0};
+  std::atomic<std::uint64_t> snapshots_{0};
+};
+
+using Volumes = std::vector<std::shared_ptr<CountingBackend>>;
+
+[[nodiscard]] std::vector<CountingBackend::Counts> counts_of(
+    const Volumes& volumes) {
+  std::vector<CountingBackend::Counts> counts;
+  for (const auto& volume : volumes) {
+    counts.push_back(volume->counts());
+  }
+  return counts;
+}
+
+/// Waits until no volume has been written for 100 ms and returns the
+/// counts: a reply body is enqueued before its reply is sent, and the
+/// committer lingers well under that before flushing it.
+std::vector<CountingBackend::Counts> quiesce(const Volumes& volumes) {
+  auto last = counts_of(volumes);
+  for (int quiet_polls = 0; quiet_polls < 10;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    auto now = counts_of(volumes);
+    quiet_polls = now == last ? quiet_polls + 1 : 0;
+    last = std::move(now);
+  }
+  return last;
+}
+
+class ReadOnlyAuditSuite : public ::testing::Test {
+ protected:
+  /// The prepared read-only calls of one service, keyed by opcode.
+  using Calls = std::map<std::uint16_t, net::Message>;
+
+  ReadOnlyAuditSuite() : rng_(2027) {
+    scheme_ = core::make_scheme(core::SchemeKind::one_way_xor, rng_);
+    transport_ = std::make_unique<rpc::Transport>(
+        net_.add_machine("client"), 8);
+  }
+
+  [[nodiscard]] std::shared_ptr<CountingBackend> volume() {
+    volumes_.push_back(std::make_shared<CountingBackend>());
+    return volumes_.back();
+  }
+
+  /// Calls every op `service` declares read-only -- each from `calls`,
+  /// twice -- and asserts that no volume of the test was written.
+  void audit(const rpc::Service& service, const Calls& calls) {
+    const auto before = quiesce(volumes_);
+    int audited = 0;
+    for (const rpc::OpInfo& op : service.registered_ops()) {
+      if (!op.read_only) {
+        continue;
+      }
+      const auto call = calls.find(op.opcode);
+      if (call == calls.end()) {
+        ADD_FAILURE() << service.name() << "/" << op.name
+                      << " is declared read-only but the audit never calls "
+                         "it";
+        continue;
+      }
+      for (int i = 0; i < 2; ++i) {
+        auto reply = transport_->trans(net::Message(call->second));
+        ASSERT_TRUE(reply.ok()) << op.name << ": " << to_string(reply.error());
+        EXPECT_EQ(reply.value().message.header.status, ErrorCode::ok)
+            << op.name;
+      }
+      ++audited;
+    }
+    EXPECT_EQ(audited, static_cast<int>(calls.size()))
+        << service.name() << ": the audit calls an op not declared read-only";
+    const auto after = quiesce(volumes_);
+    for (std::size_t v = 0; v < volumes_.size(); ++v) {
+      EXPECT_EQ(after[v].append_groups, before[v].append_groups)
+          << service.name() << " volume " << v;
+      EXPECT_EQ(after[v].meta_puts, before[v].meta_puts)
+          << service.name() << " volume " << v;
+      EXPECT_EQ(after[v].snapshots, before[v].snapshots)
+          << service.name() << " volume " << v;
+    }
+  }
+
+  template <typename OpT>
+  static void add(Calls& calls, Port port, const OpT& op,
+                  const core::Capability& cap,
+                  const typename OpT::Request& body = {}) {
+    calls.emplace(op.opcode, rpc::make_request(port, op, cap, body));
+  }
+
+  net::Network net_;
+  Rng rng_;
+  std::shared_ptr<const core::ProtectionScheme> scheme_;
+  std::unique_ptr<rpc::Transport> transport_;
+  Volumes volumes_;
+};
+
+TEST_F(ReadOnlyAuditSuite, BankReadsWriteNothing) {
+  servers::BankServer bank(net_.add_machine("bank"), Port(0xBA7D), scheme_,
+                           1, volume());
+  bank.start(2);
+  servers::BankClient client(*transport_, bank.put_port());
+  const auto account = client.create_account().value();
+  ASSERT_TRUE(client
+                  .mint(bank.master_capability(), account,
+                        servers::currency::kDollar, 42)
+                  .ok());
+  Calls calls;
+  add(calls, bank.put_port(), servers::bank_ops::kBalance, account,
+      {servers::currency::kDollar});
+  add(calls, bank.put_port(), rpc::kStdInfo, account, {1});
+  audit(bank, calls);
+}
+
+TEST_F(ReadOnlyAuditSuite, DirectoryReadsWriteNothing) {
+  servers::DirectoryServer dirs(net_.add_machine("naming"), Port(0xD2),
+                                scheme_, 2, volume());
+  dirs.start(2);
+  servers::DirectoryClient client(*transport_, dirs.put_port());
+  const auto dir = client.create_dir().value();
+  ASSERT_TRUE(client.enter(dir, "self", dir).ok());
+  Calls calls;
+  add(calls, dirs.put_port(), servers::dir_ops::kLookup, dir, {"self"});
+  add(calls, dirs.put_port(), servers::dir_ops::kList, dir);
+  add(calls, dirs.put_port(), rpc::kStdInfo, dir, {1});
+  audit(dirs, calls);
+}
+
+TEST_F(ReadOnlyAuditSuite, BlockAndFlatFileReadsWriteNothing) {
+  servers::BlockServer::Geometry geometry;
+  geometry.block_count = 64;
+  geometry.block_size = 64;
+  servers::BlockServer blocks(net_.add_machine("storage"), Port(0xB10D),
+                              scheme_, 3, geometry, volume());
+  blocks.start(2);
+  servers::FlatFileServer files(net_.add_machine("fileserver"), Port(0xF17F),
+                                scheme_, 4, blocks.put_port(), volume());
+  files.start(2);
+  servers::BlockClient block_client(*transport_, blocks.put_port());
+  const auto block = block_client.allocate().value();
+  const Buffer content(geometry.block_size, 0x5A);
+  ASSERT_TRUE(block_client.write(block, content).ok());
+  servers::FlatFileClient file_client(*transport_, files.put_port());
+  const auto file = file_client.create().value();
+  ASSERT_TRUE(file_client.write(file, 0, Buffer(100, 0x3C)).ok());
+
+  Calls block_calls;
+  add(block_calls, blocks.put_port(), servers::block_ops::kRead, block);
+  block_calls.emplace(servers::block_ops::kInfo.opcode,
+                      rpc::make_request(blocks.put_port(),
+                                        servers::block_ops::kInfo));
+  add(block_calls, blocks.put_port(), rpc::kStdInfo, block, {1});
+  audit(blocks, block_calls);
+
+  // file.read reaches the block server through nested block.read calls;
+  // both volumes must stay untouched.
+  Calls file_calls;
+  add(file_calls, files.put_port(), servers::file_ops::kRead, file, {0, 100});
+  add(file_calls, files.put_port(), servers::file_ops::kSize, file);
+  add(file_calls, files.put_port(), rpc::kStdInfo, file, {1});
+  audit(files, file_calls);
+}
+
+TEST_F(ReadOnlyAuditSuite, MultiversionReadsWriteNothing) {
+  servers::MultiVersionServer versions(net_.add_machine("versions"),
+                                       Port(0x3F), scheme_, 5, 128, volume());
+  versions.start(2);
+  servers::MultiVersionClient client(*transport_, versions.put_port());
+  const auto file = client.create_file().value();
+  const auto draft = client.new_version(file).value();
+  ASSERT_TRUE(client.write_page(draft, 0, Buffer(128, 0x11)).ok());
+  ASSERT_TRUE(client.commit(draft).ok());
+  Calls calls;
+  add(calls, versions.put_port(), servers::mv_ops::kReadPage, file,
+      {0, servers::MultiVersionClient::kHead});
+  add(calls, versions.put_port(), servers::mv_ops::kHistory, file);
+  add(calls, versions.put_port(), rpc::kStdInfo, file, {1});
+  audit(versions, calls);
+}
+
+TEST_F(ReadOnlyAuditSuite, MemoryServerReadsWriteNothing) {
+  kernel::MemoryServer memory(net_.add_machine("kernel"), Port(0x6F),
+                              scheme_, 6, 1 << 20, volume());
+  memory.start(2);
+  kernel::MemoryClient client(*transport_, memory.put_port());
+  const auto segment = client.create_segment(64).value();
+  ASSERT_TRUE(client.write(segment, 0, Buffer(64, 0x22)).ok());
+  const core::Capability segments[] = {segment};
+  const auto process = client.make_process(segments).value();
+  Calls calls;
+  add(calls, memory.put_port(), kernel::mem_ops::kReadSegment, segment,
+      {0, 64});
+  add(calls, memory.put_port(), kernel::mem_ops::kSegmentInfo, segment);
+  add(calls, memory.put_port(), kernel::mem_ops::kProcessInfo, process);
+  add(calls, memory.put_port(), rpc::kStdInfo, segment, {1});
+  audit(memory, calls);
 }
 
 }  // namespace
