@@ -27,16 +27,40 @@ bool currency_below(const std::pair<std::uint32_t, std::int64_t>& entry,
 }  // namespace
 
 std::int64_t BankServer::Account::balance(std::uint32_t currency) const {
-  const auto it = std::lower_bound(balances.begin(), balances.end(),
-                                   currency, currency_below);
-  return it != balances.end() && it->first == currency ? it->second : 0;
+  if (holds_first && first_currency == currency) {
+    return first_balance;
+  }
+  if (more == nullptr) {
+    return 0;
+  }
+  const auto it =
+      std::lower_bound(more->begin(), more->end(), currency, currency_below);
+  return it != more->end() && it->first == currency ? it->second : 0;
 }
 
 std::int64_t& BankServer::Account::slot(std::uint32_t currency) {
-  auto it = std::lower_bound(balances.begin(), balances.end(), currency,
-                             currency_below);
-  if (it == balances.end() || it->first != currency) {
-    it = balances.insert(it, {currency, 0});
+  if (!holds_first) {
+    holds_first = true;
+    first_currency = currency;
+    return first_balance;
+  }
+  if (first_currency == currency) {
+    return first_balance;
+  }
+  if (more == nullptr) {
+    more = std::make_unique<std::vector<Pair>>();
+  }
+  if (currency < first_currency) {
+    // The new currency sorts first: the inline pair moves to the heap.
+    more->insert(more->begin(), {first_currency, first_balance});
+    first_currency = currency;
+    first_balance = 0;
+    return first_balance;
+  }
+  auto it =
+      std::lower_bound(more->begin(), more->end(), currency, currency_below);
+  if (it == more->end() || it->first != currency) {
+    it = more->insert(it, {currency, 0});
   }
   return it->second;
 }
@@ -52,11 +76,11 @@ core::Durability<BankServer::Account> BankServer::durability(
   d.committer = std::move(committer);
   // A count, then (currency, balance) pairs in currency order.
   d.encode = [](Writer& w, const Account& account) {
-    w.u32(static_cast<std::uint32_t>(account.balances.size()));
-    for (const auto& [currency, balance] : account.balances) {
+    w.u32(static_cast<std::uint32_t>(account.size()));
+    account.for_each([&w](std::uint32_t currency, std::int64_t balance) {
       w.u32(currency);
       w.i64(balance);
-    }
+    });
     w.u8(account.is_master ? 1 : 0);
   };
   d.decode = [](Reader& r, Account& account) {
@@ -157,8 +181,8 @@ Result<void> BankServer::do_transfer(const core::Capability& from_cap,
   if (from.object == to.object) {
     return {};  // self-transfer: no-op
   }
-  // Distinct accounts: the vectors are distinct, so taking the second
-  // reference cannot invalidate the first.
+  // Distinct accounts: taking the second reference cannot invalidate the
+  // first.
   std::int64_t& from_balance = from.value->slot(req.currency);
   std::int64_t& to_balance = to.value->slot(req.currency);
   std::int64_t new_to = 0;

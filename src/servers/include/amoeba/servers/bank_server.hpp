@@ -134,17 +134,35 @@ class BankServer final : public rpc::Service {
 
  private:
   struct Account {
-    // (currency, balance) pairs sorted by currency.  An account holds a
-    // handful of currencies, so a flat vector is smaller and faster than a
-    // hash map, and it encodes in one deterministic order.
-    std::vector<std::pair<std::uint32_t, std::int64_t>> balances;
+    using Pair = std::pair<std::uint32_t, std::int64_t>;
+
+    // (currency, balance) pairs in currency order, so they encode in one
+    // deterministic order.  Nearly every account holds one currency and
+    // the bank keeps every account resident, so the lowest pair lives in
+    // the account itself and only further currencies take a heap block.
+    std::int64_t first_balance = 0;
+    std::uint32_t first_currency = 0;
+    bool holds_first = false;  // false until the first slot() call
     bool is_master = false;
+    std::unique_ptr<std::vector<Pair>> more;  // currencies past the first
 
     /// The balance in `currency`; 0 when the account never held it.
     [[nodiscard]] std::int64_t balance(std::uint32_t currency) const;
     /// The balance slot for `currency`, inserted at 0 when absent.  The
     /// reference dies with the next slot() call on this account.
     [[nodiscard]] std::int64_t& slot(std::uint32_t currency);
+    /// Number of currencies held.
+    [[nodiscard]] std::size_t size() const {
+      return (holds_first ? 1 : 0) + (more != nullptr ? more->size() : 0);
+    }
+    /// Calls f(currency, balance) for every pair, in currency order.
+    template <typename F>
+    void for_each(F&& f) const {
+      if (holds_first) f(first_currency, first_balance);
+      if (more != nullptr) {
+        for (const auto& [currency, balance] : *more) f(currency, balance);
+      }
+    }
   };
   using Store = core::ObjectStore<Account>;
 

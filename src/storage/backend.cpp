@@ -86,6 +86,27 @@ void Backend::append_journal_batch(std::vector<ShardAppend>&& appends) {
 
 // ----------------------------------------------------------- MemoryBackend
 
+void MemoryBackend::PagedBytes::append(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    if (pages_.empty() || pages_.back().size() == kPageBytes) {
+      pages_.emplace_back().reserve(kPageBytes);
+    }
+    Buffer& page = pages_.back();
+    const std::size_t n = std::min(bytes.size(), kPageBytes - page.size());
+    page.insert(page.end(), bytes.begin(), bytes.begin() + n);
+    bytes = bytes.subspan(n);
+  }
+}
+
+Buffer MemoryBackend::PagedBytes::flatten() const {
+  Buffer out;
+  out.reserve(pages_.size() * kPageBytes);
+  for (const Buffer& page : pages_) {
+    out.insert(out.end(), page.begin(), page.end());
+  }
+  return out;
+}
+
 MemoryBackend::MemoryBackend(std::size_t shards) {
   check_shards(shards);
   shards_.reserve(shards);
@@ -115,8 +136,7 @@ void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
       locks.emplace_back(shards_.at(s)->mutex);
     }
     for (const ShardAppend& a : appends) {
-      Buffer& journal = shards_[a.shard]->journal;
-      journal.insert(journal.end(), a.bytes.begin(), a.bytes.end());
+      shards_[a.shard]->journal.append(a.bytes);
     }
     locks.clear();
     appends_.fetch_add(appends.size(), std::memory_order_relaxed);
@@ -127,21 +147,22 @@ void MemoryBackend::submit_append_group(std::vector<ShardAppend>&& appends,
 Buffer MemoryBackend::read_journal(std::size_t shard) const {
   const Shard& s = *shards_.at(shard);
   const std::lock_guard lock(s.mutex);
-  return s.journal;
+  return s.journal.flatten();
 }
 
 void MemoryBackend::install_snapshot(std::size_t shard,
                                      std::span<const std::uint8_t> bytes) {
   Shard& s = *shards_.at(shard);
   const std::lock_guard lock(s.mutex);
-  s.snapshot.assign(bytes.begin(), bytes.end());
+  s.snapshot.clear();
+  s.snapshot.append(bytes);
   s.journal.clear();  // compaction: the snapshot subsumes the log
 }
 
 Buffer MemoryBackend::read_snapshot(std::size_t shard) const {
   const Shard& s = *shards_.at(shard);
   const std::lock_guard lock(s.mutex);
-  return s.snapshot;
+  return s.snapshot.flatten();
 }
 
 void MemoryBackend::put_meta(std::string_view key,

@@ -178,10 +178,27 @@ class MemoryBackend final : public Backend {
   [[nodiscard]] std::shared_ptr<MemoryBackend> capture() const;
 
  private:
+  /// A journal or snapshot held in fixed-size pages.  Growing it never
+  /// moves what it holds, and clearing it frees every page, so the
+  /// volume's resident size follows what it holds now rather than the
+  /// largest it ever was, and the allocator recycles equal-sized pages
+  /// instead of ever-larger contiguous runs.
+  class PagedBytes {
+   public:
+    void append(std::span<const std::uint8_t> bytes);
+    void clear() { pages_.clear(); }
+    [[nodiscard]] bool empty() const { return pages_.empty(); }
+    [[nodiscard]] Buffer flatten() const;
+
+   private:
+    static constexpr std::size_t kPageBytes = 32 * 1024;
+    std::vector<Buffer> pages_;  // all full but the last
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    Buffer journal;
-    Buffer snapshot;
+    PagedBytes journal;
+    PagedBytes snapshot;
   };
 
   void hook_after_append();

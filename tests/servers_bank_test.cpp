@@ -209,9 +209,10 @@ TEST_F(BankSuite, TransferManyRightsDisciplineHoldsPerEntry) {
 }
 
 TEST(BankRestartTest, MultiCurrencyBalancesSurviveRestart) {
-  // Balances live in a sorted (currency, balance) vector and are journaled
-  // as a count then pairs.  Minting yen before francs before dollars, and
-  // converting into an absent currency, inserts out of currency order; the
+  // Balances are kept in currency order -- the lowest pair inside the
+  // account, the rest in a heap vector -- and journaled as a count then
+  // pairs.  Minting zloty before yen before francs, and converting into an
+  // absent dollar, inserts each new currency below the inline pair; the
   // recovered server must still see every balance.
   net::Network net;
   net::Machine& bank_machine = net.add_machine("bank");

@@ -157,6 +157,35 @@ TEST(MemoryBackendTest, JournalSnapshotMetaAndCapture) {
   EXPECT_EQ(backend.read_snapshot(1), (Buffer{7, 7}));
 }
 
+TEST(MemoryBackendTest, RunsLongerThanAPageReadBackWhole) {
+  // Journals and snapshots are held in 32 KiB pages: appends that straddle
+  // page ends, and a snapshot spanning several pages, read back byte-exact,
+  // and a capture copies every page.
+  MemoryBackend backend(2);
+  Buffer expected;
+  for (int i = 0; i < 50; ++i) {
+    const Buffer run(1000 + static_cast<std::size_t>(i) * 37,
+                     static_cast<std::uint8_t>(i));
+    backend.append_journal(1, run);
+    expected.insert(expected.end(), run.begin(), run.end());
+  }
+  ASSERT_GT(expected.size(), 2u * 32 * 1024);
+  EXPECT_EQ(backend.read_journal(1), expected);
+  const auto image = backend.capture();
+
+  Buffer snapshot(100 * 1024);
+  for (std::size_t i = 0; i < snapshot.size(); ++i) {
+    snapshot[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  backend.install_snapshot(1, snapshot);
+  EXPECT_EQ(backend.read_snapshot(1), snapshot);
+  EXPECT_TRUE(backend.read_journal(1).empty());
+  backend.install_snapshot(1, Buffer{5});
+  EXPECT_EQ(backend.read_snapshot(1), Buffer{5});
+  EXPECT_EQ(image->read_journal(1), expected);
+  EXPECT_TRUE(image->read_snapshot(1).empty());
+}
+
 TEST(MemoryBackendTest, AppendHookFiresWithRunningCount) {
   MemoryBackend backend(2);
   std::vector<std::uint64_t> counts;
