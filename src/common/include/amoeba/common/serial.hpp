@@ -35,6 +35,11 @@ class Writer {
   void check(CheckField c) { u48(c.value()); }
   /// Length-prefixed (u32) byte run.
   void bytes(std::span<const std::uint8_t> data);
+  /// Unsigned LEB128: 7 bits per byte, low group first, high bit set on
+  /// every byte but the last (1 byte below 128).
+  void varint(std::uint64_t v);
+  /// Byte run prefixed with its varint length.
+  void varbytes(std::span<const std::uint8_t> data);
   /// Length-prefixed (u32) UTF-8 string.
   void str(std::string_view s);
   /// Unprefixed byte run for fields whose width both sides know statically
@@ -46,6 +51,8 @@ class Writer {
   /// Empties the buffer, KEEPING its capacity -- lets hot paths (the
   /// journaling encoder) reuse one Writer without reallocating.
   void clear() { out_.clear(); }
+  /// Pre-sizes the buffer for `bytes` bytes in total.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
  private:
   Buffer out_;
@@ -66,6 +73,9 @@ class Reader {
   Rights rights() { return Rights(u8()); }
   CheckField check() { return CheckField(u48()); }
   Buffer bytes();
+  /// Fails (ok() turns false) on a run longer than a u64's 10 bytes.
+  std::uint64_t varint();
+  Buffer varbytes();
   std::string str();
   /// Unprefixed fixed-width byte run; fills `out` (zeroed on underflow).
   void raw(std::span<std::uint8_t> out);

@@ -34,6 +34,19 @@ void Writer::bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
+void Writer::varint(std::uint64_t v) {
+  while (v >= 0x80) {
+    out_.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out_.push_back(static_cast<std::uint8_t>(v));
+}
+
+void Writer::varbytes(std::span<const std::uint8_t> data) {
+  varint(data.size());
+  out_.insert(out_.end(), data.begin(), data.end());
+}
+
 void Writer::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   out_.insert(out_.end(), s.begin(), s.end());
@@ -92,6 +105,29 @@ Buffer Reader::bytes() {
   const std::uint32_t n = u32();
   const std::uint8_t* p = nullptr;
   if (!take(n, &p)) return {};
+  return Buffer(p, p + n);
+}
+
+std::uint64_t Reader::varint() {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const std::uint8_t b = u8();
+    v |= std::uint64_t{b & 0x7Fu} << shift;
+    if ((b & 0x80) == 0) {
+      return failed_ ? 0 : v;
+    }
+  }
+  failed_ = true;  // overlong: no u64 needs an 11th byte
+  return 0;
+}
+
+Buffer Reader::varbytes() {
+  const std::uint64_t n = varint();
+  const std::uint8_t* p = nullptr;
+  if (n > remaining() || !take(static_cast<std::size_t>(n), &p)) {
+    failed_ = true;
+    return {};
+  }
   return Buffer(p, p + n);
 }
 

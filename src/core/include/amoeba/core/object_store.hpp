@@ -79,7 +79,11 @@
 // "durable on return" holds while one backend write + one fsync per flush
 // cycle covers every record that piled up meanwhile.  Handlers that can
 // pipeline use Opened::release_async() to carry the ticket as a future and
-// wait through ShardedObjectStore::wait_durable() later.
+// wait through ShardedObjectStore::wait_durable() later.  The release wait
+// runs in accessor destructors, so a volume that failed meanwhile (disk
+// full, a fenced replication primary) cannot throw there: the release
+// notes it with storage::note_release_failure(), and the rpc request loop
+// turns the note into an `internal` reply.
 //
 // Shards self-compact: after `compact_after` records a shard serializes
 // its live slots into a snapshot and restarts its journal.  The recovery
@@ -322,7 +326,7 @@ class ShardedObjectStore {
         lock_.unlock();
       }
       if (ticket != 0 && store != nullptr) {
-        store->wait_durable(ticket);
+        store->settle_release(ticket);
       }
     }
 
@@ -372,7 +376,7 @@ class ShardedObjectStore {
       a = Opened();
       b = Opened();
       if (ticket != 0) {
-        store->wait_durable(ticket);
+        store->settle_release(ticket);
       }
     }
   };
@@ -428,7 +432,7 @@ class ShardedObjectStore {
       }
       opened = Opened();  // drops the opened shard's lock; nothing to wait
       if (ticket != 0 && store != nullptr) {
-        store->wait_durable(ticket);
+        store->settle_release(ticket);
       }
     }
 
@@ -900,6 +904,17 @@ class ShardedObjectStore {
   }
 
  private:
+  /// wait_durable() for the accessor release paths, which run in
+  /// destructors: a failed volume is noted for the request loop
+  /// (storage::note_release_failure) instead of thrown into terminate.
+  void settle_release(std::uint64_t ticket) noexcept {
+    try {
+      wait_durable(ticket);
+    } catch (...) {
+      storage::note_release_failure();
+    }
+  }
+
   struct Slot {
     /// Guards the lock-free-readable header below: every writer
     /// transition (create, revoke, destroy, recovery replay) holds the
@@ -1361,26 +1376,41 @@ class ShardedObjectStore {
   /// committer's queue.  If the flusher writes such a record AFTER the
   /// install truncates the journal, replay skips it (lsn <= applied_lsn)
   /// and the snapshot, which already reflects its effect, wins.
+  ///
+  /// The image is encoded straight into one buffer (the bytes
+  /// storage::encode_snapshot produces), each payload staged in the
+  /// shard's reusable scratch writer: no per-slot buffers, whose transient
+  /// peak would otherwise scale with the live object count.  The buffer
+  /// is then handed to the backend, which may keep it (replication ships
+  /// it) without a copy.
   void snapshot_shard_locked(std::size_t s, Shard& shard) {
-    std::vector<storage::SnapshotSlot> slots;
     const std::uint32_t limit =
         shard.slot_limit.load(std::memory_order_relaxed);
+    std::uint32_t live = 0;
+    for (std::uint32_t i = 0; i < limit; ++i) {
+      live += slot_at(shard, i).live.load(std::memory_order_relaxed) ? 1 : 0;
+    }
+    storage::SnapshotEncoder image(shard.lsn, live);
+    bool sized = false;
     for (std::uint32_t i = 0; i < limit; ++i) {
       const Slot& slot = slot_at(shard, i);
       if (!slot.live.load(std::memory_order_relaxed)) {
         continue;
       }
-      storage::SnapshotSlot image;
-      image.object =
-          ObjectNumber(static_cast<std::uint32_t>(i * shards_.size() + s));
-      image.secret = slot.secret;
-      Writer w;
-      durability_.encode(w, slot.value);
-      image.payload = w.take();
-      slots.push_back(std::move(image));
+      shard.scratch_payload.clear();
+      durability_.encode(shard.scratch_payload, slot.value);
+      const Buffer& payload = shard.scratch_payload.buffer();
+      if (!sized) {
+        // Sized from the first payload: one store's payloads are mostly
+        // one size, so the image rarely grows past this.
+        sized = true;
+        image.reserve(payload.size());
+      }
+      image.add(
+          ObjectNumber(static_cast<std::uint32_t>(i * shards_.size() + s)),
+          slot.secret, payload);
     }
-    durability_.backend->install_snapshot(
-        s, storage::encode_snapshot(slots, shard.lsn));
+    durability_.backend->adopt_snapshot(s, image.take());
     shard.records_pending = 0;
     ++shard.snapshots;
   }

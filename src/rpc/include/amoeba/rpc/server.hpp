@@ -41,8 +41,9 @@
 //
 // Restart semantics (docs/PROTOCOL.md §8): attach_durability() persists
 // each client's suppression FLOOR -- the highest sequence number ever
-// claimed by an op with effects -- to the storage backend's metadata area
-// before the claimed request executes, and restores the floors on
+// claimed by an op with effects -- to the storage backend's metadata area,
+// durable no later than the claimed request's effects and before its
+// reply or any nested call leaves, and restores the floors on
 // construction.  After a crash+restart, a duplicate of any pre-crash
 // transaction is therefore DROPPED (at most once survives the crash: an
 // operation may be lost to the torn tail, but can never run twice).  A
@@ -51,8 +52,15 @@
 // post-restart duplicate of a recently COMPLETED transaction is
 // re-answered from the restored cache instead of timing out at the
 // client.  Floor persists are enqueued on the volume's group-commit flush
-// cycles (the claim blocks -- outside the table locks -- until its
-// floor's cycle is durable) rather than each paying a private fsync.
+// cycles rather than each paying a private fsync, and the handler runs
+// without waiting for them: the floor is enqueued first, so the effect's
+// commit ticket is larger and the handler's own durable release covers
+// the floor too.  The worker settles the floor's ticket before it
+// publishes or sends the reply (nearly always already durable by then),
+// and the transport settles it before a nested trans() from the handler
+// leaves (rpc/pending_floor.hpp).  A claim arriving after the volume
+// failed is refused with `internal` before its handler runs, and a store
+// release that finds the volume failed turns the reply into `internal`.
 // Ops declared read-only (rpc::kReadOnly) persist neither floor nor body:
 // re-running one after a restart is indistinguishable from answering its
 // duplicate, so their claims stay in memory and the persisted window
@@ -189,7 +197,7 @@ class Service {
   /// Wires the at-most-once reply cache to a storage volume: restores the
   /// per-client suppression floors (and any persisted reply bodies) the
   /// previous incarnation left in the backend's metadata area, and
-  /// persists updated floors before every freshly claimed at-most-once
+  /// enqueues updated floors before every freshly claimed at-most-once
   /// request executes (read-only ops excepted) -- the ordering that
   /// guarantees a post-restart duplicate of an executed transfer is
   /// dropped, never re-run.  Null backend: no-op.  Call once, from the
@@ -197,9 +205,9 @@ class Service {
   ///
   /// Persists go through `committer`, the volume's group-commit flusher
   /// (required with a backend; UsageError otherwise): each floor write is
-  /// enqueued as metadata on the current flush cycle and the claim blocks
-  /// until that cycle is durable (coalesced with every journal append and
-  /// every other claim of the cycle).
+  /// enqueued as metadata on the current flush cycle (coalesced with every
+  /// journal append and every other claim of the cycle) and is durable
+  /// before the request's reply or any nested call leaves.
   void attach_durability(std::shared_ptr<storage::Backend> backend,
                          std::shared_ptr<storage::GroupCommitter> committer);
 
@@ -386,17 +394,19 @@ class Service {
   void store_reply(const net::Delivery& request, const net::Message& reply,
                    bool persist_body);
   /// Advances the claiming client's persisted floor and enqueues the image
-  /// on the committer, if attached (called for every freshly claimed
-  /// at-most-once request that is not read-only, BEFORE its handler runs
-  /// -- write-ahead for the suppression state).  Update, encode, and
-  /// enqueue happen under one mutex: persists are totally ordered and each
-  /// contains all rows of every earlier one.  The durability wait happens
-  /// AFTER the mutex drops, so concurrent claims pile their floors into
-  /// the same flush cycle.
-  void persist_reply_floor(const ClientKey& key, std::uint64_t seq);
+  /// on the attached committer, returning its ticket (called for every
+  /// freshly claimed at-most-once request that is not read-only, BEFORE
+  /// its handler runs -- write-ahead for the suppression state).  Update,
+  /// encode, and enqueue happen under one mutex: persists are totally
+  /// ordered and each contains all rows of every earlier one.  Nothing
+  /// waits here: the floor is durable no later than the handler's effect
+  /// (whose ticket is larger), and the request loop settles the ticket
+  /// before the reply or any nested call leaves.
+  [[nodiscard]] std::uint64_t persist_reply_floor(const ClientKey& key,
+                                                  std::uint64_t seq);
   /// Adds one completed reply body to the client's persisted window and
   /// re-persists the image, best effort and WITHOUT waiting: the floor --
-  /// already durable since the claim -- carries the never-twice
+  /// durable since before the reply -- carries the never-twice
   /// guarantee; the body only upgrades a post-restart duplicate from
   /// "dropped" to "re-answered", so losing it to a crash is safe.
   void persist_reply_body(const ClientKey& key, std::uint64_t seq,

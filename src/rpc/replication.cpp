@@ -65,31 +65,41 @@ TransportReplicationLink::TransportReplicationLink(net::Machine& machine,
 
 std::string TransportReplicationLink::peer_name() const { return peer_name_; }
 
-Result<std::uint64_t> TransportReplicationLink::ship_cycle(
-    std::span<const std::uint8_t> frame) {
-  rep_ops::AppendGroupRequest request;
-  request.frame.assign(frame.begin(), frame.end());
-  const auto reply = call(transport_, volume_.server_port,
-                          rep_ops::kAppendGroup, volume_, request);
+namespace {
+
+/// One rep.* transaction whose data field is `bytes`: they are copied once,
+/// straight into the wire message, where filling the request's own
+/// Buffer first would copy them twice (both ops' RawData field is the
+/// whole data field).
+template <typename OpT>
+[[nodiscard]] Result<std::uint64_t> ship(Transport& transport,
+                                         const core::Capability& volume,
+                                         const OpT& op,
+                                         const typename OpT::Request& params,
+                                         std::span<const std::uint8_t> bytes) {
+  net::Message request =
+      make_request(volume.server_port, op, volume, params);
+  request.data.assign(bytes.begin(), bytes.end());
+  const auto reply =
+      TypedFuture<OpT>(transport.trans_async(std::move(request))).get();
   if (!reply.ok()) {
     return reply.error();
   }
   return reply.value().applied;
 }
 
+}  // namespace
+
+Result<std::uint64_t> TransportReplicationLink::ship_cycle(
+    std::span<const std::uint8_t> frame) {
+  return ship(transport_, volume_, rep_ops::kAppendGroup, {}, frame);
+}
+
 Result<std::uint64_t> TransportReplicationLink::ship_snapshot(
     std::uint64_t rep_lsn, std::size_t shard,
     std::span<const std::uint8_t> bytes) {
-  rep_ops::InstallSnapshotRequest request;
-  request.rep_lsn = rep_lsn;
-  request.shard = shard;
-  request.bytes.assign(bytes.begin(), bytes.end());
-  const auto reply = call(transport_, volume_.server_port,
-                          rep_ops::kInstallSnapshot, volume_, request);
-  if (!reply.ok()) {
-    return reply.error();
-  }
-  return reply.value().applied;
+  return ship(transport_, volume_, rep_ops::kInstallSnapshot,
+              {rep_lsn, shard, {}}, bytes);
 }
 
 Result<std::uint64_t> TransportReplicationLink::heartbeat(

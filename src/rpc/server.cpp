@@ -13,6 +13,7 @@
 #include "amoeba/storage/backend.hpp"
 #include "amoeba/storage/group_commit.hpp"
 #include "amoeba/storage/replication/replicated_backend.hpp"
+#include "pending_floor.hpp"
 
 namespace amoeba::rpc {
 
@@ -454,27 +455,18 @@ void Service::restore_reply_floors(std::span<const std::uint8_t> floors) {
   }
 }
 
-void Service::persist_reply_floor(const ClientKey& key, std::uint64_t seq) {
-  if (!reply_committer_set_.load(std::memory_order_acquire)) {
-    return;
-  }
-  std::uint64_t ticket = 0;
-  {
-    // One mutex covers update + encode + enqueue: persists are totally
-    // ordered, so a slower thread can never overwrite a newer image with
-    // a stale one (the §8.4 never-twice ordering).
-    const std::lock_guard lock(reply_floor_mutex_);
-    PersistedClient& row = reply_floors_[key];
-    row.floor = std::max(row.floor, seq);
-    ticket = reply_committer_->enqueue_meta(kReplyFloorsKey,
-                                            encode_reply_floors_locked());
-  }
-  // The claimed seq must be durable BEFORE the handler can journal any
-  // effect: a crash in between loses the operation, never doubles it.
-  // The wait runs outside the mutex, so concurrent claims keep piling
+std::uint64_t Service::persist_reply_floor(const ClientKey& key,
+                                          std::uint64_t seq) {
+  // One mutex covers update + encode + enqueue: persists are totally
+  // ordered, so a slower thread can never overwrite a newer image with a
+  // stale one (the §8.4 never-twice ordering).  Concurrent claims pile
   // their floors into the same flush cycle (the committer coalesces the
   // per-key images; the newest -- containing every row here -- wins).
-  reply_committer_->wait_durable(ticket);
+  const std::lock_guard lock(reply_floor_mutex_);
+  PersistedClient& row = reply_floors_[key];
+  row.floor = std::max(row.floor, seq);
+  return reply_committer_->enqueue_meta(kReplyFloorsKey,
+                                        encode_reply_floors_locked());
 }
 
 void Service::persist_reply_body(const ClientKey& key, std::uint64_t seq,
@@ -589,6 +581,12 @@ net::Message Service::handle_one(const net::Delivery& request) {
     // offending client gets the invariant-failure status instead.
     reply = net::make_reply(request.message, ErrorCode::internal);
   }
+  if (storage::take_release_failure()) {
+    // A store release found the volume failed: the effect ran in memory
+    // but is not durable, so the handler's answer must not reach the
+    // client as if it were.
+    reply = net::make_reply(request.message, ErrorCode::internal);
+  }
   if (metrics != nullptr) {
     const auto elapsed_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -650,6 +648,11 @@ net::Message Service::handle_batch(const net::Delivery& request) {
   } else {
     // Strided fan-out across transient helpers; handlers are already safe
     // under multi-worker concurrency, so this adds parallelism, not risk.
+    // The helpers do not carry this worker's pending floor, so it settles
+    // here: no sub-handler's nested call may leave ahead of it.
+    if (!detail::settle_pending_floor()) {
+      return net::make_reply(request.message, ErrorCode::internal);
+    }
     std::vector<std::jthread> helpers;
     helpers.reserve(fan_out);
     for (std::size_t h = 0; h < fan_out; ++h) {
@@ -725,27 +728,33 @@ void Service::run(std::stop_token stop, std::latch& ready) {
             // so its claim stays in memory (§8.4).
             const OpState* state = op_state(delivery->message.header.opcode);
             persist = state == nullptr || !state->read_only;
-            if (!persist) {
+            if (!persist ||
+                !reply_committer_set_.load(std::memory_order_acquire)) {
               break;
             }
-            // Write-ahead for the suppression state: the claimed seq is
-            // durable (as a floor) BEFORE the handler can journal any
-            // effect, so a crash can lose this operation but a restarted
-            // server can never run its duplicate a second time.
-            try {
-              persist_reply_floor(
-                  ClientKey{delivery->src.value(),
-                            delivery->message.header.client},
-                  delivery->message.header.seq);
-            } catch (const std::exception&) {
-              // The volume refused durability -- a failed flush, or a
-              // fenced deposed primary (§9.4).  Without a durable floor
-              // the operation must not execute; the client hears the
-              // truth instead of the worker thread dying.
+            if (reply_committer_->failed()) {
+              // The volume refuses durability -- a failed flush, or a
+              // fenced deposed primary (§9.4).  No floor can become
+              // durable, so nothing new executes; the client hears the
+              // truth.
               reply = net::make_reply(delivery->message, ErrorCode::internal);
               executed = false;
               cache_reply = false;
+              break;
             }
+            // Write-ahead for the suppression state without a wait of its
+            // own: the floor is enqueued before the handler can journal
+            // any effect, so the effect's cycle is the floor's or a later
+            // one and a crash image never holds the effect without the
+            // floor.  The handler's own durable release therefore covers
+            // it; the settle below (and before any nested call) covers
+            // handlers that journal nothing.
+            detail::t_pending_floor = {
+                reply_committer_.get(),
+                persist_reply_floor(
+                    ClientKey{delivery->src.value(),
+                              delivery->message.header.client},
+                    delivery->message.header.seq)};
             break;
           }
         }
@@ -754,6 +763,13 @@ void Service::run(std::stop_token stop, std::latch& ready) {
         reply = delivery->message.header.opcode == kBatchOpcode
                     ? handle_batch(*delivery)
                     : handle_one(*delivery);
+        // The floor is durable before the reply is published or sent:
+        // nearly always already true, since the handler's release waited
+        // for a later ticket.
+        if (!detail::settle_pending_floor()) {
+          reply = net::make_reply(delivery->message, ErrorCode::internal);
+        }
+        detail::t_pending_floor = {};
         if (cache_reply) {
           // Cached in pre-dest, pre-filter form; a re-send recomputes the
           // destination from the duplicate and re-seals per transmission.

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "pending_floor.hpp"
+
 namespace amoeba::rpc {
 
 using Clock = std::chrono::steady_clock;
@@ -207,6 +209,13 @@ Future Transport::trans_async(net::Message request,
                               std::chrono::milliseconds timeout) {
   auto state = std::make_shared<Future::State>();
   Future future(state);
+  // A nested call from a service worker leaves only once the reply floor
+  // of the request being served is durable (docs/PROTOCOL.md §8.4); if the
+  // volume failed first, the call fails here and its effect never leaves.
+  if (!detail::settle_pending_floor()) {
+    state->outcome = Result<net::Delivery>(ErrorCode::internal);
+    return future;
+  }
 
   // One lock hold covers the per-transaction bookkeeping: stats, the
   // signature/filter snapshot, the at-most-once (client, seq) stamp, the

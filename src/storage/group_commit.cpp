@@ -20,7 +20,15 @@ namespace {
   }
 }
 
+thread_local bool t_release_failed = false;
+
 }  // namespace
+
+void note_release_failure() noexcept { t_release_failed = true; }
+
+bool take_release_failure() noexcept {
+  return std::exchange(t_release_failed, false);
+}
 
 GroupCommitter::GroupCommitter(std::shared_ptr<Backend> backend,
                                Options options)
@@ -146,6 +154,11 @@ void GroupCommitter::wait_durable(Ticket ticket) {
     throw UsageError("GroupCommitter: flush failed, ticket not durable: " +
                      failure_);
   }
+}
+
+bool GroupCommitter::failed() const {
+  const std::lock_guard lock(mutex_);
+  return !failure_.empty();
 }
 
 bool GroupCommitter::is_durable(Ticket ticket) const {
@@ -334,8 +347,10 @@ void GroupCommitter::flusher(const std::stop_token& stop) {
     try {
       // Metadata first: within a cycle the reply-cache floor image must
       // hit the volume before the journal effects it gates (§8.4's
-      // never-twice ordering; across cycles the rpc layer waits for the
-      // floor ticket before journaling, so floors never trail effects).
+      // never-twice ordering).  Across cycles nothing more is needed: a
+      // floor is enqueued before its handler runs, so the effect's ticket
+      // is larger and its cycle is this one or a later one -- and cycles
+      // reach the volume in ticket order.
       for (const auto& [key, value] : cycle->metas) {
         backend_->put_meta(key, value);
       }

@@ -118,6 +118,13 @@ class Backend {
   /// the snapshot rename and the journal restart harmless.
   virtual void install_snapshot(std::size_t shard,
                                 std::span<const std::uint8_t> bytes) = 0;
+  /// install_snapshot() of an image the caller hands over: a decorator
+  /// that must keep the bytes past the call (replication ships them to
+  /// its backups) takes them without a copy.  The default installs and
+  /// drops them.
+  virtual void adopt_snapshot(std::size_t shard, Buffer bytes) {
+    install_snapshot(shard, bytes);
+  }
 
   /// Whole-snapshot read (recovery); empty when none was installed.
   [[nodiscard]] virtual Buffer read_snapshot(std::size_t shard) const = 0;

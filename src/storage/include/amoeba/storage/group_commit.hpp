@@ -24,13 +24,17 @@
 //     untearable across a crash.
 //   * Metadata (the rpc reply-cache image) rides the same cycles through
 //     enqueue_meta(), coalesced latest-image-wins per key, and is written
-//     BEFORE the cycle's journal appends -- a crash image may hold a
-//     reply-cache floor without its effect (operation lost, safe) but
-//     never an effect without its floor (operation doubled, fatal).
+//     BEFORE the cycle's journal appends.  Cycles reach the volume in
+//     ticket order, so anything enqueued after a floor -- the effect of
+//     the request that floor claims -- lands in the floor's cycle or a
+//     later one: a crash image may hold a reply-cache floor without its
+//     effect (operation lost, safe) but never an effect without its
+//     floor (operation doubled, fatal).  The floor's enqueuer need not
+//     wait for it before journaling the effect.
 //
 // A backend write failure (disk full) latches the committer into a failed
 // state: wait_durable() then throws instead of ever reporting durability
-// that does not exist.
+// that does not exist, and failed() reports the latch without blocking.
 #pragma once
 
 #include <chrono>
@@ -75,6 +79,17 @@ struct GroupCommitOptions {
 
   static constexpr std::chrono::microseconds kDefaultLingerCeiling{200};
 };
+
+/// Durability failures a release path could not throw.  An object-store
+/// accessor waits on its commit ticket in its destructor, where a throw
+/// would terminate the process; when the committer has latched failed,
+/// the release notes the failure on the calling thread instead, and the
+/// rpc request loop takes the note after the handler returns and answers
+/// `internal` in place of the handler's reply (never `ok`).
+void note_release_failure() noexcept;
+/// Returns whether a release failure was noted on this thread since the
+/// last call, and clears the note.
+[[nodiscard]] bool take_release_failure() noexcept;
 
 class GroupCommitter {
  public:
@@ -183,6 +198,11 @@ class GroupCommitter {
 
   /// Non-blocking durability probe.
   [[nodiscard]] bool is_durable(Ticket ticket) const;
+
+  /// Non-blocking failure probe: true once a backend write or the
+  /// post-flush hook failed.  From then on nothing enqueued becomes
+  /// durable, so callers refuse new work instead of running it.
+  [[nodiscard]] bool failed() const;
 
   /// Blocks until everything enqueued so far is durable.
   void drain();

@@ -82,6 +82,30 @@ struct SnapshotSlot {
   Buffer payload;
 };
 
+/// Streams a shard snapshot into one buffer, slot by slot, for encoders
+/// that hold no slot images; produces the bytes encode_snapshot() makes
+/// of the same slots.  Slots are framed with a varint object delta from
+/// the previous slot and a varint payload length (docs/PROTOCOL.md §8.3),
+/// so adding them in ascending object order keeps the frame small; any
+/// order decodes.
+class SnapshotEncoder {
+ public:
+  /// Writes the header announcing `slots` slots; exactly that many add()
+  /// calls must follow.
+  SnapshotEncoder(std::uint64_t applied_lsn, std::uint32_t slots);
+  /// Pre-sizes the image for the announced slots, assuming payloads of
+  /// `payload_bytes` each.
+  void reserve(std::size_t payload_bytes);
+  void add(ObjectNumber object, std::uint64_t secret,
+           std::span<const std::uint8_t> payload);
+  [[nodiscard]] Buffer take() { return out_.take(); }
+
+ private:
+  Writer out_;
+  std::uint32_t slots_;
+  std::uint32_t previous_ = 0;  // object number of the last slot added
+};
+
 /// Serializes a shard snapshot (magic + version + applied LSN + slot
 /// images).  `applied_lsn` is the LSN of the last journal record the
 /// snapshot subsumes.
@@ -89,7 +113,8 @@ struct SnapshotSlot {
                                      std::uint64_t applied_lsn);
 
 /// Parses a shard snapshot; empty input decodes as an empty snapshot with
-/// applied LSN 0.  Returns false on a malformed (non-empty,
+/// applied LSN 0.  Reads the current format and the fixed-width slot
+/// framing of version 1.  Returns false on a malformed (non-empty,
 /// non-conforming) image.
 [[nodiscard]] bool decode_snapshot(std::span<const std::uint8_t> bytes,
                                    std::vector<SnapshotSlot>& out,

@@ -109,6 +109,8 @@ class ReplicatedBackend final : public Backend {
   [[nodiscard]] Buffer read_journal(std::size_t shard) const override;
   void install_snapshot(std::size_t shard,
                         std::span<const std::uint8_t> bytes) override;
+  /// Installs locally, then ships the handed-over image itself (no copy).
+  void adopt_snapshot(std::size_t shard, Buffer bytes) override;
   [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override;
   void put_meta(std::string_view key,
                 std::span<const std::uint8_t> value) override;

@@ -4,7 +4,10 @@ namespace amoeba::storage {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x414D534Eu;  // "AMSN"
-constexpr std::uint16_t kSnapshotVersion = 1;
+/// Version 2 frames each slot with a varint object delta and a varint
+/// payload length; version 1 used a u32 object number and a u32 length.
+constexpr std::uint16_t kSnapshotVersion = 2;
+constexpr std::uint16_t kSnapshotVersionFixedWidth = 1;
 
 }  // namespace
 
@@ -118,19 +121,41 @@ std::vector<Record> decode_journal(std::span<const std::uint8_t> journal,
   return records;
 }
 
+SnapshotEncoder::SnapshotEncoder(std::uint64_t applied_lsn,
+                                 std::uint32_t slots)
+    : slots_(slots) {
+  out_.u32(kSnapshotMagic);
+  out_.u16(kSnapshotVersion);
+  out_.u64(applied_lsn);
+  out_.u32(slots);
+}
+
+void SnapshotEncoder::reserve(std::size_t payload_bytes) {
+  // Header, then per slot: a one-byte delta (ascending objects of one
+  // shard), the secret, the payload length and the payload.
+  const std::size_t length_bytes = payload_bytes < 0x80 ? 1 : 2;
+  out_.reserve(4 + 2 + 8 + 4 +
+               std::size_t{slots_} * (1 + 8 + length_bytes + payload_bytes));
+}
+
+void SnapshotEncoder::add(ObjectNumber object, std::uint64_t secret,
+                          std::span<const std::uint8_t> payload) {
+  // Unsigned wrap-around: an out-of-order slot costs a long delta, not a
+  // wrong object.
+  out_.varint(object.value() - previous_);
+  previous_ = object.value();
+  out_.u64(secret);
+  out_.varbytes(payload);
+}
+
 Buffer encode_snapshot(const std::vector<SnapshotSlot>& slots,
                        std::uint64_t applied_lsn) {
-  Writer w;
-  w.u32(kSnapshotMagic);
-  w.u16(kSnapshotVersion);
-  w.u64(applied_lsn);
-  w.u32(static_cast<std::uint32_t>(slots.size()));
+  SnapshotEncoder encoder(applied_lsn,
+                          static_cast<std::uint32_t>(slots.size()));
   for (const SnapshotSlot& slot : slots) {
-    w.object(slot.object);
-    w.u64(slot.secret);
-    w.bytes(slot.payload);
+    encoder.add(slot.object, slot.secret, slot.payload);
   }
-  return w.take();
+  return encoder.take();
 }
 
 bool decode_snapshot(std::span<const std::uint8_t> bytes,
@@ -142,17 +167,29 @@ bool decode_snapshot(std::span<const std::uint8_t> bytes,
     return true;  // fresh shard: no snapshot installed yet
   }
   Reader r(bytes);
-  if (r.u32() != kSnapshotMagic || r.u16() != kSnapshotVersion) {
+  if (r.u32() != kSnapshotMagic) {
+    return false;
+  }
+  const std::uint16_t version = r.u16();
+  if (version != kSnapshotVersion && version != kSnapshotVersionFixedWidth) {
     return false;
   }
   applied_lsn = r.u64();
   const std::uint32_t count = r.u32();
   out.reserve(count);
+  std::uint32_t object = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     SnapshotSlot slot;
-    slot.object = r.object();
-    slot.secret = r.u64();
-    slot.payload = r.bytes();
+    if (version == kSnapshotVersionFixedWidth) {
+      slot.object = r.object();
+      slot.secret = r.u64();
+      slot.payload = r.bytes();
+    } else {
+      object += static_cast<std::uint32_t>(r.varint());
+      slot.object = ObjectNumber(object);
+      slot.secret = r.u64();
+      slot.payload = r.varbytes();
+    }
     if (!r.ok()) {
       out.clear();
       return false;

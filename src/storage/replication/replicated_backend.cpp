@@ -100,16 +100,20 @@ void ReplicatedBackend::submit_append_group(std::vector<ShardAppend>&& appends,
 
 void ReplicatedBackend::install_snapshot(std::size_t shard,
                                          std::span<const std::uint8_t> bytes) {
+  adopt_snapshot(shard, Buffer(bytes.begin(), bytes.end()));
+}
+
+void ReplicatedBackend::adopt_snapshot(std::size_t shard, Buffer bytes) {
   local_->install_snapshot(shard, bytes);
   // Compaction ships on its own (it never rides the committer), and never
   // waits for acks: replacing a snapshot is not client-visible
-  // durability, so async shipping costs nothing.
+  // durability, so async shipping costs nothing.  The shipment keeps the
+  // handed-over image itself until every backup has it.
   const std::lock_guard lock(mutex_);
   if (peers_.empty()) {
     return;
   }
-  (void)broadcast_locked(++next_lsn_, true, shard,
-                         Buffer(bytes.begin(), bytes.end()));
+  (void)broadcast_locked(++next_lsn_, true, shard, std::move(bytes));
 }
 
 void ReplicatedBackend::put_meta(std::string_view key,

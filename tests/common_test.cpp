@@ -197,6 +197,34 @@ TEST(Serial, TruncatedStringFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Serial, VarintsRoundTripAndRejectOverlongOrTruncatedRuns) {
+  Writer w;
+  const std::uint64_t values[] = {0, 127, 128, 16'383, 16'384, 0xFFFFFFFFu,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t v : values) {
+    w.varint(v);
+  }
+  const Buffer payload{1, 2, 3};
+  w.varbytes(payload);
+  EXPECT_EQ(w.buffer().size(), 1u + 1 + 2 + 2 + 3 + 5 + 10 + 1 + 3);
+  Reader r(w.buffer());
+  for (const std::uint64_t v : values) {
+    EXPECT_EQ(r.varint(), v);
+  }
+  EXPECT_EQ(r.varbytes(), payload);
+  EXPECT_TRUE(r.exhausted());
+
+  const Buffer overlong(11, 0x80);  // no u64 needs an 11th byte
+  Reader bad(overlong);
+  (void)bad.varint();
+  EXPECT_FALSE(bad.ok());
+  Writer truncated;
+  truncated.varint(100);  // claims 100 bytes follow; none do
+  Reader short_read(truncated.buffer());
+  EXPECT_TRUE(short_read.varbytes().empty());
+  EXPECT_FALSE(short_read.ok());
+}
+
 TEST(Serial, EmptyBufferIsExhausted) {
   Reader r(std::span<const std::uint8_t>{});
   EXPECT_TRUE(r.exhausted());

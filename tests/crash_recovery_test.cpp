@@ -9,6 +9,9 @@
 //     barrier still validates against the recovered table,
 //   * state invariants -- money is conserved (pair mutations journal
 //     atomically, so a transfer can never be torn in half),
+//   * floor before effect -- no journaled effect's seq lies above the
+//     image's persisted reply-cache floor (a request's floor is enqueued
+//     before its handler runs, so it is durable no later than the effect),
 //   * at-most-once effects -- replaying the full pre-crash request stream
 //     (same client id, same seqs) against the restarted server never
 //     re-executes anything the persisted reply-cache floors cover, and a
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "amoeba/common/rng.hpp"
+#include "amoeba/common/serial.hpp"
 #include "amoeba/core/schemes.hpp"
 #include "amoeba/kernel/memory_server.hpp"
 #include "amoeba/net/network.hpp"
@@ -80,6 +84,33 @@ void quiesce(const rpc::Service& service) {
     quiet_polls = now == last ? quiet_polls + 1 : 0;
     last = now;
   }
+}
+
+/// The reply-cache floor persisted on `volume` for at-most-once client
+/// `client` (docs/PROTOCOL.md §8.4 image layout); 0 when none is.
+[[nodiscard]] std::uint64_t persisted_floor(const storage::Backend& volume,
+                                            std::uint64_t client) {
+  const Buffer image = volume.get_meta("reply-floors");
+  if (image.empty()) {
+    return 0;
+  }
+  Reader r(image);
+  (void)r.u32();  // magic
+  const std::uint32_t rows = r.u32();
+  for (std::uint32_t i = 0; i < rows && r.ok(); ++i) {
+    (void)r.u32();  // source machine
+    const std::uint64_t id = r.u64();
+    const std::uint64_t floor = r.u64();
+    const std::uint32_t bodies = r.u32();
+    for (std::uint32_t b = 0; b < bodies && r.ok(); ++b) {
+      (void)r.u64();
+      (void)r.bytes();
+    }
+    if (id == client) {
+      return floor;
+    }
+  }
+  return 0;
 }
 
 class BankCrashSuite : public ::testing::Test {
@@ -177,15 +208,12 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
   // The hook fires once per backend append -- with group commit that is
   // once per FLUSH GROUP, so every captured image sits exactly on a
   // group boundary (whole groups or nothing; a waiter is never told
-  // "durable" for a record these images lack).
+  // "durable" for a record these images lack).  Every group is a barrier.
   std::mutex images_mutex;
   std::vector<std::shared_ptr<storage::MemoryBackend>> images;
-  std::uint64_t groups_seen = 0;  // guarded by images_mutex
   backend_->set_append_hook([&](std::uint64_t) {
     const std::lock_guard lock(images_mutex);
-    if (++groups_seen % 7 == 2) {  // barrier every 7 flush groups
-      images.push_back(backend_->capture());
-    }
+    images.push_back(backend_->capture());
   });
 
   // Workload: the pre-crash request stream, executed while barriers fire.
@@ -203,6 +231,7 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
 
   for (std::size_t img = 0; img < images.size(); ++img) {
     SCOPED_TRACE("crash image " + std::to_string(img));
+    const std::uint64_t floor = persisted_floor(*images[img], kClient);
     boot(images[img]);
     // Full capability survival: both accounts validate and answer.
     ASSERT_TRUE(client_->balance(alice_, currency::kDollar).ok());
@@ -212,6 +241,11 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
     EXPECT_EQ(total_money(), kMint);
     const std::int64_t recovered_bob = dollars(bob_);
     EXPECT_EQ(recovered_bob % kAmount, 0);
+    // Floor before effect: the stream ran one transfer at a time, so the
+    // image holds the effects of seqs 1..recovered_bob/kAmount, and the
+    // persisted floor must cover every one of them.
+    EXPECT_LE(static_cast<std::uint64_t>(recovered_bob / kAmount), floor)
+        << "an effect is on the volume without its reply-cache floor";
 
     // Replay the ENTIRE pre-crash stream.  Seqs the crashed server had
     // claimed are covered by the persisted floors and must drop;
@@ -227,8 +261,11 @@ TEST_F(BankCrashSuite, KilledAtEveryJournalBarrierRecoversConsistently) {
     quiesce(*bank_);
     const std::int64_t after_first_replay = dollars(bob_);
     EXPECT_EQ(total_money(), kMint);
-    EXPECT_GE(after_first_replay, recovered_bob);
-    EXPECT_LE(after_first_replay, kTransfers * kAmount);
+    // Exactly the seqs above the floor run: none the image already holds
+    // runs again, and a claimed seq whose effect the crash lost stays lost.
+    EXPECT_EQ(after_first_replay,
+              recovered_bob +
+                  (kTransfers - static_cast<std::int64_t>(floor)) * kAmount);
 
     // Exactly-once across the crash: a SECOND identical replay must be
     // fully suppressed -- if any transfer double-executed, bob's balance
@@ -272,8 +309,8 @@ TEST_F(BankCrashSuite, StdDestroyNeverReexecutesAcrossRestart) {
   EXPECT_EQ(reply->message.header.status, ErrorCode::ok);
 
   // The destroy's reply body is persisted best effort (enqueued, not
-  // awaited).  A subsequent claim of an op with effects persists ITS floor
-  // with a durability wait, and the metadata image is coalesced
+  // awaited).  A subsequent claim of an op with effects persists ITS floor,
+  // durable before its reply, and the metadata image is coalesced
   // latest-wins, so after this create the body-carrying image is durably
   // on the volume -- the capture below is deterministic.  (A balance call
   // would not do: read-only ops persist nothing.)
@@ -329,9 +366,10 @@ TEST_F(BankCrashSuite, ReadsNeitherEvictTheTransferBodyNorReplayStale) {
     EXPECT_EQ(static_cast<std::int64_t>(read->message.header.params[0]),
               kAmount);
   }
-  // The transfer's body is persisted best effort; a later claim of an op
-  // with effects (another client's) waits for a cycle carrying the whole
-  // image, so the capture below holds whatever the window kept.
+  // The transfer's body is persisted best effort; a later op with
+  // effects (another client's) replies only once a cycle carrying the
+  // whole image is durable, so the capture below holds whatever the
+  // window kept.
   ASSERT_TRUE(client_->create_account().ok());
 
   const auto image = backend_->capture();

@@ -329,11 +329,13 @@ PersistedRow persisted_row(const storage::Backend& volume,
   return {};
 }
 
-TEST(ServiceTest, ReadOnlyOpsPersistNothingAndMutationsPersistTheirFloorFirst) {
-  // On one durable service: a mutation's floor is on the volume before its
-  // handler runs, and its body follows; an op declared read-only persists
-  // neither; an untyped handler, and a batch envelope even of read-only
-  // sub-requests, persist exactly like a mutation.
+TEST(ServiceTest, ReadOnlyOpsPersistNothingAndMutationsPersistTheirFloorBeforeTheReply) {
+  // On one durable service: a mutation's floor is on the volume by the
+  // time its reply arrives, and its body follows; an op declared
+  // read-only persists neither; an untyped handler, and a batch envelope
+  // even of read-only sub-requests, persist exactly like a mutation.  The
+  // handler itself no longer waits for its floor: the floor is enqueued
+  // before it runs, so it is durable no later than the handler's effect.
   constexpr Op<Empty, Empty> kPeek{0x21, "test.peek", kFactoryOp, kReadOnly};
   constexpr Op<Empty, Empty> kPoke{0x22, "test.poke", kFactoryOp};
   constexpr std::uint16_t kUntyped = 0x23;
@@ -366,9 +368,10 @@ TEST(ServiceTest, ReadOnlyOpsPersistNothingAndMutationsPersistTheirFloorFirst) {
     return net::make_reply(delivery.message, ErrorCode::ok);
   });
   service.start();
-  // Calls one op (seqs run 1, 2, ...), then drains the committer: a reply
-  // body is enqueued before the reply is sent, so afterwards the volume
-  // holds everything the call persisted.
+  // Calls one op (seqs run 1, 2, ...) and returns the floor on the volume
+  // as the reply arrived, then drains the committer: a reply body is
+  // enqueued before the reply is sent, so afterwards the volume holds
+  // everything the call persisted.
   const auto call = [&](std::uint16_t opcode) {
     net::Message request;
     request.header.dest = service.put_port();
@@ -377,32 +380,98 @@ TEST(ServiceTest, ReadOnlyOpsPersistNothingAndMutationsPersistTheirFloorFirst) {
     EXPECT_TRUE(reply.ok() &&
                 reply.value().message.header.status == ErrorCode::ok)
         << "opcode " << opcode;
+    const std::uint64_t floor_at_reply =
+        persisted_row(*volume, transport.client_id()).floor;
     committer->drain();
-    return persisted_row(*volume, transport.client_id());
+    return std::pair{floor_at_reply,
+                     persisted_row(*volume, transport.client_id())};
   };
 
-  EXPECT_EQ(call(kPeek.opcode), PersistedRow{});          // seq 1
+  EXPECT_EQ(call(kPeek.opcode), std::pair(0ul, PersistedRow{}));  // seq 1
   EXPECT_TRUE(volume->get_meta("reply-floors").empty());
-  EXPECT_EQ(call(kPoke.opcode), (PersistedRow{2, 1}));    // seq 2
-  EXPECT_EQ(call(kPeek.opcode), (PersistedRow{2, 1}));    // seq 3
-  EXPECT_EQ(call(kUntyped), (PersistedRow{4, 2}));        // seq 4
-  TypedBatch batch(transport, service.put_port());        // seq 5
+  EXPECT_EQ(call(kPoke.opcode), std::pair(2ul, PersistedRow{2, 1}));  // seq 2
+  EXPECT_EQ(call(kPeek.opcode), std::pair(2ul, PersistedRow{2, 1}));  // seq 3
+  EXPECT_EQ(call(kUntyped), std::pair(4ul, PersistedRow{4, 2}));      // seq 4
+  TypedBatch batch(transport, service.put_port());  // seq 5
   const auto peek = batch.add(kPeek);
   const auto replies = batch.run();
   ASSERT_TRUE(replies.ok());
   EXPECT_TRUE(replies.value().get(peek).ok());
+  EXPECT_EQ(persisted_row(*volume, transport.client_id()).floor, 5u);
   committer->drain();
   EXPECT_EQ(persisted_row(*volume, transport.client_id()),
             (PersistedRow{5, 3}));
 
   const std::lock_guard lock(mutex);
   ASSERT_EQ(seen.size(), 5u);
+  // A read-only op runs without moving the floor; a mutation's handler
+  // never sees a floor above its own seq, nor a body it has not produced.
   EXPECT_EQ(seen[0], PersistedRow{});
-  // Write-ahead: the floor was durable before the handler ran.
-  EXPECT_EQ(seen[1], (PersistedRow{2, 0}));
+  EXPECT_LE(seen[1].floor, 2u);
+  EXPECT_EQ(seen[1].bodies, 0u);
   EXPECT_EQ(seen[2], (PersistedRow{2, 1}));
-  EXPECT_EQ(seen[3], (PersistedRow{4, 1}));
-  EXPECT_EQ(seen[4], (PersistedRow{5, 2}));
+  EXPECT_LE(seen[3].floor, 4u);
+  EXPECT_EQ(seen[3].bodies, 1u);
+  EXPECT_LE(seen[4].floor, 5u);
+  EXPECT_EQ(seen[4].bodies, 2u);
+}
+
+TEST(ServiceTest, NestedCallsLeaveOnlyAfterTheirFloorIsDurable) {
+  // A handler's nested call is an effect leaving the process, so it must
+  // not leave ahead of the request's floor (PROTOCOL.md §8.4).  A long
+  // adaptive linger holds the floor's flush cycle open while nobody waits,
+  // so the handler typically starts before its floor is on the volume;
+  // the nested call -- blocking or pipelined -- must find it there.
+  constexpr std::uint16_t kOuter = 0x30;
+  constexpr std::uint16_t kInner = 0x31;
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  net::Machine& pm = net.add_machine("peer");
+  net::Machine& cm = net.add_machine("client");
+  const auto volume = std::make_shared<storage::MemoryBackend>(4);
+  storage::GroupCommitOptions options;
+  options.flush_interval = 200ms;
+  const auto committer = storage::GroupCommitter::create(volume, options);
+  TableService outer(sm, Port(0x100F), "outer");
+  outer.attach_durability(volume, committer);
+  TableService peer(pm, Port(0x1010), "peer");
+  Transport client(cm, 1);
+  Transport nested(sm, 2);
+
+  std::mutex mutex;
+  std::vector<std::uint64_t> floors_seen_by_peer;
+  peer.on(kInner, [&](const net::Delivery& delivery) {
+    const std::uint64_t floor = persisted_row(*volume, client.client_id()).floor;
+    const std::lock_guard lock(mutex);
+    floors_seen_by_peer.push_back(floor);
+    return net::make_reply(delivery.message, ErrorCode::ok);
+  });
+  outer.on(kOuter, [&](const net::Delivery& delivery) {
+    net::Message inner;
+    inner.header.dest = peer.put_port();
+    inner.header.opcode = kInner;
+    const auto reply = delivery.message.header.params[0] == 0
+                           ? nested.trans(std::move(inner))
+                           : nested.trans_async(std::move(inner)).get();
+    const bool ok =
+        reply.ok() && reply.value().message.header.status == ErrorCode::ok;
+    return net::make_reply(delivery.message,
+                           ok ? ErrorCode::ok : ErrorCode::internal);
+  });
+  peer.start();
+  outer.start();
+
+  for (std::uint64_t pipelined = 0; pipelined < 2; ++pipelined) {
+    net::Message request;
+    request.header.dest = outer.put_port();
+    request.header.opcode = kOuter;
+    request.header.params[0] = pipelined;
+    const auto reply = client.trans(std::move(request));
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply.value().message.header.status, ErrorCode::ok);
+  }
+  const std::lock_guard lock(mutex);
+  EXPECT_EQ(floors_seen_by_peer, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(ServiceTest, SignatureVerificationAdmitsOnlyTrueOwner) {

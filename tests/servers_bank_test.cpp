@@ -3,7 +3,9 @@
 // multi-currency balances across a restart.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <stdexcept>
 
 #include "amoeba/common/rng.hpp"
 #include "amoeba/servers/bank_server.hpp"
@@ -262,6 +264,99 @@ TEST(BankRestartTest, MultiCurrencyBalancesSurviveRestart) {
   EXPECT_EQ(client.balance(bob, currency::kYen).value(), 0);
   EXPECT_EQ(client.balance(bob, kZloty).value(), 9);
   EXPECT_EQ(client.balance(alice, kZloty).value(), 0);
+}
+
+/// Memory volume whose journal writes start failing on demand: the disk
+/// filling up, or a replication primary being fenced, mid-run.
+class FailSwitchBackend final : public storage::Backend {
+ public:
+  FailSwitchBackend() : inner_(16) {}
+
+  void fail_appends() { failing_.store(true); }
+
+  [[nodiscard]] std::size_t shard_count() const override {
+    return inner_.shard_count();
+  }
+  void submit_append_group(std::vector<storage::ShardAppend>&& appends,
+                           storage::AppendCompletion complete) override {
+    if (failing_.load()) {
+      complete(std::make_exception_ptr(std::runtime_error("disk full")));
+      return;
+    }
+    inner_.submit_append_group(std::move(appends), std::move(complete));
+  }
+  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
+    return inner_.read_journal(shard);
+  }
+  void install_snapshot(std::size_t shard,
+                        std::span<const std::uint8_t> bytes) override {
+    inner_.install_snapshot(shard, bytes);
+  }
+  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
+    return inner_.read_snapshot(shard);
+  }
+  void put_meta(std::string_view key,
+                std::span<const std::uint8_t> value) override {
+    inner_.put_meta(key, value);
+  }
+  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
+    return inner_.get_meta(key);
+  }
+  [[nodiscard]] std::vector<std::string> meta_keys() const override {
+    return inner_.meta_keys();
+  }
+  [[nodiscard]] bool empty() const override { return inner_.empty(); }
+
+ private:
+  storage::MemoryBackend inner_;
+  std::atomic<bool> failing_{false};
+};
+
+[[nodiscard]] std::uint64_t transfer_calls(const BankServer& bank) {
+  for (const auto& op : bank.op_metrics()) {
+    if (op.name == "bank.transfer") {
+      return op.calls;
+    }
+  }
+  return 0;
+}
+
+TEST(BankVolumeFailureTest, TransferOnAFailedVolumeRepliesErrorAndServerLives) {
+  // The volume fails between a transfer's claim and its effect.  The
+  // transfer's store release then finds the committer latched failed: it
+  // must answer an error -- never ok -- and the process must keep
+  // serving, with no new mutation run on the failed volume.
+  net::Network net;
+  net::Machine& bank_machine = net.add_machine("bank");
+  net::Machine& client_machine = net.add_machine("client");
+  rpc::Transport transport(client_machine, 7);
+  Rng rng(43);
+  auto backend = std::make_shared<FailSwitchBackend>();
+  BankServer bank(bank_machine, Port(0xBA7E),
+                  core::make_scheme(core::SchemeKind::commutative, rng), 1,
+                  backend);
+  bank.start(2);
+  BankClient client(transport, bank.put_port());
+  const core::Capability alice = client.create_account().value();
+  const core::Capability bob = client.create_account().value();
+  ASSERT_TRUE(client
+                  .mint(bank.master_capability(), alice, currency::kDollar,
+                        100)
+                  .ok());
+
+  backend->fail_appends();
+  const auto lost = client.transfer(alice, bob, currency::kDollar, 7);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.error(), ErrorCode::internal);
+  EXPECT_EQ(transfer_calls(bank), 1u);
+
+  // The latched volume runs no new handler: the claim is refused first.
+  EXPECT_EQ(client.transfer(alice, bob, currency::kDollar, 7).error(),
+            ErrorCode::internal);
+  EXPECT_FALSE(client.create_account().ok());
+  EXPECT_EQ(transfer_calls(bank), 1u);
+  // Reads persist nothing, so the server still answers them.
+  EXPECT_TRUE(client.balance(alice, currency::kDollar).ok());
 }
 
 }  // namespace

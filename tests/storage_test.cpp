@@ -1054,6 +1054,68 @@ TEST(DurableStore, ExplicitCompactThenRecoverIsExact) {
   EXPECT_EQ(*recovered.open(cap, Rights::none()).value().value, 2);
 }
 
+TEST(DurableStore, CompactionImageIsTheSnapshotCodecsBytes) {
+  // The store streams its compaction image straight into one buffer; it
+  // must be byte-for-byte what encode_snapshot makes of the same slots.
+  auto backend = std::make_shared<storage::MemoryBackend>(16);
+  ObjectStore<int> store(scheme(), kPort, 12, 16, int_codec(backend));
+  for (int i = 0; i < 40; ++i) {
+    (void)store.create(i * 1000);
+  }
+  store.compact();
+  std::size_t slots_seen = 0;
+  for (std::size_t s = 0; s < 16; ++s) {
+    const Buffer image = backend->read_snapshot(s);
+    std::vector<storage::SnapshotSlot> slots;
+    std::uint64_t lsn = 0;
+    ASSERT_TRUE(storage::decode_snapshot(image, slots, lsn));
+    EXPECT_EQ(storage::encode_snapshot(slots, lsn), image) << "shard " << s;
+    slots_seen += slots.size();
+  }
+  EXPECT_EQ(slots_seen, 40u);
+}
+
+TEST(DurableStore, VersionOneSnapshotsStillRecover) {
+  // Volumes compacted before the varint slot framing hold version 1
+  // images (u32 object, u32 payload length); they must still recover.
+  auto backend = std::make_shared<storage::MemoryBackend>(16);
+  std::vector<Capability> caps;
+  {
+    ObjectStore<int> store(scheme(), kPort, 13, 16, int_codec(backend));
+    for (int i = 0; i < 40; ++i) {
+      caps.push_back(store.create(i * 7));
+    }
+    store.compact();
+  }
+  auto old_volume = std::make_shared<storage::MemoryBackend>(16);
+  for (std::size_t s = 0; s < 16; ++s) {
+    std::vector<storage::SnapshotSlot> slots;
+    std::uint64_t lsn = 0;
+    ASSERT_TRUE(storage::decode_snapshot(backend->read_snapshot(s), slots,
+                                         lsn));
+    Writer v1;
+    v1.u32(0x414D534Eu);  // "AMSN"
+    v1.u16(1);
+    v1.u64(lsn);
+    v1.u32(static_cast<std::uint32_t>(slots.size()));
+    for (const storage::SnapshotSlot& slot : slots) {
+      v1.object(slot.object);
+      v1.u64(slot.secret);
+      v1.bytes(slot.payload);
+    }
+    old_volume->install_snapshot(s, v1.buffer());
+  }
+  ObjectStore<int> recovered(scheme(), kPort, 14, 16,
+                             int_codec(old_volume));
+  ASSERT_EQ(recovered.live_count(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    auto opened =
+        recovered.open(caps[static_cast<std::size_t>(i)], Rights::none());
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened.value().value, i * 7);
+  }
+}
+
 TEST(DurableStore, TornJournalTailLosesOnlyTheTornRecord) {
   auto backend = std::make_shared<storage::MemoryBackend>(16);
   ObjectStore<int> store(scheme(), kPort, 10, 16, int_codec(backend));
