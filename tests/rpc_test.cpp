@@ -5,10 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "amoeba/common/rng.hpp"
+#include "amoeba/core/object_store.hpp"
+#include "amoeba/core/schemes.hpp"
 #include "amoeba/net/network.hpp"
 #include "amoeba/rpc/server.hpp"
 #include "amoeba/rpc/transport.hpp"
@@ -472,6 +476,120 @@ TEST(ServiceTest, NestedCallsLeaveOnlyAfterTheirFloorIsDurable) {
   }
   const std::lock_guard lock(mutex);
   EXPECT_EQ(floors_seen_by_peer, (std::vector<std::uint64_t>{1, 2}));
+}
+
+/// Memory volume whose journal appends are held at a gate until the test
+/// opens it: a flush cycle that cannot finish.
+class GatedBackend final : public storage::Backend {
+ public:
+  GatedBackend() : inner_(4) {}
+
+  /// Blocks until the flusher is held at the gate.
+  void wait_held() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void open() {
+    {
+      const std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  [[nodiscard]] std::size_t shard_count() const override {
+    return inner_.shard_count();
+  }
+  void submit_append_group(std::vector<storage::ShardAppend>&& appends,
+                           storage::AppendCompletion complete) override {
+    {
+      std::unique_lock lock(mutex_);
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    inner_.submit_append_group(std::move(appends), std::move(complete));
+  }
+  [[nodiscard]] Buffer read_journal(std::size_t shard) const override {
+    return inner_.read_journal(shard);
+  }
+  void install_snapshot(std::size_t shard,
+                        std::span<const std::uint8_t> bytes) override {
+    inner_.install_snapshot(shard, bytes);
+  }
+  [[nodiscard]] Buffer read_snapshot(std::size_t shard) const override {
+    return inner_.read_snapshot(shard);
+  }
+  void put_meta(std::string_view key,
+                std::span<const std::uint8_t> value) override {
+    inner_.put_meta(key, value);
+  }
+  [[nodiscard]] Buffer get_meta(std::string_view key) const override {
+    return inner_.get_meta(key);
+  }
+  [[nodiscard]] std::vector<std::string> meta_keys() const override {
+    return inner_.meta_keys();
+  }
+  [[nodiscard]] bool empty() const override { return inner_.empty(); }
+
+ private:
+  storage::MemoryBackend inner_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
+
+TEST(ServiceTest, RepliesWaitForTheirHandlersEffects) {
+  // The reply waits for the handler's store releases as well as for its
+  // floor.  The handler journals its effect only once its floor is on the
+  // volume, so the effect rides a later flush cycle -- one held at the
+  // volume -- and the reply must not leave before that cycle completes.
+  constexpr Op<Empty, Empty> kMake{0x26, "test.make", kFactoryOp};
+  net::Network net;
+  net::Machine& sm = net.add_machine("server");
+  net::Machine& cm = net.add_machine("client");
+  const auto volume = std::make_shared<GatedBackend>();
+  const auto committer = storage::GroupCommitter::create(volume);
+  core::Durability<int> durability;
+  durability.backend = volume;
+  durability.committer = committer;
+  durability.encode = [](Writer& w, const int& v) {
+    w.u32(static_cast<std::uint32_t>(v));
+  };
+  durability.decode = [](Reader& r, int& v) {
+    v = static_cast<int>(r.u32());
+    return r.ok();
+  };
+  Rng rng(29);
+  core::ObjectStore<int> store(
+      core::make_scheme(core::SchemeKind::commutative, rng), Port(0x1013),
+      31, 4, durability);
+  TableService service(sm, Port(0x1014), "table");
+  service.attach_durability(volume, committer);
+  Transport client(cm, 1);
+  client.set_retransmit(10s, 10s);
+  service.on(kMake, [&](const auto&) -> Result<void> {
+    while (persisted_row(*volume, client.client_id()).floor == 0) {
+      std::this_thread::sleep_for(1ms);
+    }
+    (void)store.create(7);
+    return {};
+  });
+  service.start(1);
+
+  net::Message make;
+  make.header.dest = service.put_port();
+  make.header.opcode = kMake.opcode;
+  Future made = client.trans_async(std::move(make), 5000ms);
+  volume->wait_held();  // the effect's cycle is at the volume
+  const bool left_early = made.wait_for(200ms);
+  volume->open();
+  EXPECT_FALSE(left_early) << "a reply left before its effect was durable";
+  const auto reply = made.get();
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply.value().message.header.status, ErrorCode::ok);
+  EXPECT_EQ(store.live_count(), 1u);
 }
 
 TEST(ServiceTest, SignatureVerificationAdmitsOnlyTrueOwner) {
